@@ -117,14 +117,19 @@ def run_crisp_flow(
     core_config: CoreConfig | None = None,
     scale: float = 1.0,
     train_workload: Workload | None = None,
+    engine: str | None = None,
 ) -> CrispResult:
-    """Run the full Figure 5 software flow on a workload's *train* input."""
+    """Run the full Figure 5 software flow on a workload's *train* input.
+
+    ``engine`` is the cycle model of the profiling run (see
+    :func:`~repro.core.profiler.profile_workload`).
+    """
     config = config or CrispConfig()
     train = train_workload or REGISTRY.build(workload_name, variant="train", scale=scale)
 
     # Step 1: profile on the baseline core.
     indexed = IndexedTrace(train.trace())
-    profile, _ = profile_workload(train, core_config, trace=indexed)
+    profile, _ = profile_workload(train, core_config, trace=indexed, engine=engine)
 
     # Step 2: classify delinquent loads and hard branches. Address streams
     # from the trace feed the "not a constant or stride" criterion.

@@ -67,7 +67,7 @@ class CoRunResult:
         return part.retired / part.cycles if part.cycles else 0.0
 
 
-def _core_annotation(task, *, config, scale):
+def _core_annotation(task, *, config, scale, engine):
     """Resolve one core's CRISP annotation (explicit, or FDO-derived)."""
     if task.mode != "crisp":
         return frozenset()
@@ -76,7 +76,8 @@ def _core_annotation(task, *, config, scale):
     from ..core.fdo import run_crisp_flow
 
     flow = run_crisp_flow(
-        task.workload, task.crisp_config, core_config=config, scale=scale
+        task.workload, task.crisp_config, core_config=config, scale=scale,
+        engine=engine,
     )
     return flow.critical_pcs
 
@@ -96,6 +97,10 @@ def run_corun(
     ``config`` is the per-core configuration (every core gets the same
     base; per-core private prefetchers come from the task). Resilience
     knobs mirror :func:`~repro.sim.simulator.simulate`, applied per core.
+
+    Each distinct ``(workload, variant)`` input is built and emulated once;
+    every core running it reads the same :class:`ExecutionTrace`, which
+    the pipelines never mutate.
     """
     from ..workloads import get_workload
 
@@ -118,8 +123,9 @@ def run_corun(
 
     pipes = []
     annotations: list[tuple[int, ...]] = []
+    traces = {}
     for idx, task in enumerate(spec.cores):
-        critical = _core_annotation(task, config=base, scale=scale)
+        critical = _core_annotation(task, config=base, scale=scale, engine=engine)
         core_config, used, ibda = resolve_mode(task.mode, base, critical)
         if task.prefetchers is not None:
             core_config = replace(
@@ -134,9 +140,13 @@ def run_corun(
         context = {"workload": task.workload, "mode": task.mode,
                    "core": idx, "mix": spec.label}
         watchdog = _make_watchdog(cycle_budget, crash_dir, context)
-        workload = get_workload(task.workload, variant=task.variant, scale=scale)
+        key = (task.workload, task.variant)
+        if key not in traces:
+            traces[key] = get_workload(
+                task.workload, variant=task.variant, scale=scale
+            ).trace()
         pipes.append(pipeline_class(engine)(
-            workload.trace(),
+            traces[key],
             core_config,
             critical_pcs=used,
             ibda=ibda,

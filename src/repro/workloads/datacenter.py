@@ -35,7 +35,9 @@ from .kernels import (
     build_array,
     build_index_array,
     build_offset_cycle,
+    build_random_array,
     emit_reload_burst,
+    random_words,
 )
 
 
@@ -156,15 +158,20 @@ def build_memcached(variant: str = "ref", scale: float = 1.0) -> Workload:
     num_buckets = 1 << 18  # 2 MiB bucket array of node indices
     node_slots = 1 << 15
     node_stride = 192
-    for v in range(node_slots):
-        addr = HEAP + v * node_stride
-        memory[addr >> 3] = rng.randrange(node_slots)  # next node index
-        memory[(addr + 8) >> 3] = rng.randrange(1 << 14)  # stored key
-        memory[(addr + 16) >> 3] = rng.randrange(1 << 12)  # value word 0
-        memory[(addr + 24) >> 3] = rng.randrange(1 << 12)  # value word 1
-    build_array(
-        memory, base=TABLE, num_words=num_buckets, value=lambda i: rng.randrange(node_slots)
+    # Node words, drawn in this order: next node index, stored key, two
+    # value words. randrange(1 << m) draws 32-bit words until one has its
+    # top bit clear and returns that word's top m bits, so one stream of
+    # randrange(1 << 31) words, shifted per field, yields the same values.
+    widths = (node_slots, 1 << 14, 1 << 12, 1 << 12)  # powers of two only
+    shifts = [32 - width.bit_length() for width in widths]
+    words = random_words(rng, 0, 1 << 31, 4 * node_slots)
+    first = HEAP >> 3
+    step = node_stride >> 3
+    memory.update(
+        (first + (i >> 2) * step + (i & 3), word >> shifts[i & 3])
+        for i, word in enumerate(words)
     )
+    build_random_array(memory, rng, base=TABLE, num_words=num_buckets, hi=node_slots)
     out_base = 0x6000_0000
     build_array(memory, base=out_base, num_words=16, value=lambda i: i + 1)
 
@@ -235,13 +242,13 @@ def build_img_dnn(variant: str = "ref", scale: float = 1.0, *, tile: int = 12) -
     rng = variant_rng(variant, salt=22)
     memory: dict[int, int] = {}
     rows = scaled(520 if is_ref(variant) else 420, scale)
-    build_array(memory, base=HEAP, num_words=rows * tile + tile, value=lambda i: rng.randrange(1, 255))
-    build_array(memory, base=HEAP2, num_words=tile, value=lambda i: rng.randrange(1, 255))
+    build_random_array(memory, rng, base=HEAP, num_words=rows * tile + tile, lo=1, hi=255)
+    build_random_array(memory, rng, base=HEAP2, num_words=tile, lo=1, hi=255)
     # 256 KiB embedding table: LLC-resident after warm-up, so the gathers'
     # miss rate stays below the 20% delinquency bar -- img-dnn is
     # compute-bound and CRISP correctly leaves it alone.
     emb_entries = 1 << 15
-    build_array(memory, base=TABLE, num_words=emb_entries, value=lambda i: rng.randrange(1, 1 << 10))
+    build_random_array(memory, rng, base=TABLE, num_words=emb_entries, lo=1, hi=1 << 10)
     build_index_array(memory, rng, base=HEAP3, num_entries=rows * 2, target_entries=emb_entries)
 
     a = Asm()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from ..isa.assembler import Asm
 from .base import HEAP, HEAP2, HEAP3, REGISTRY, STACK, TABLE, Workload, is_ref, scaled, variant_rng
-from .kernels import build_array, build_index_array, emit_reload_burst
+from .kernels import build_array, build_index_array, build_random_array, emit_reload_burst
 
 
 def build_xhpcg(
@@ -32,15 +32,12 @@ def build_xhpcg(
     memory: dict[int, int] = {}
     rows = scaled(380 if is_ref(variant) else 310, scale)
     x_entries = 1 << 18  # 2 MiB vector: gathers miss
-    build_array(
-        memory, base=TABLE, num_words=x_entries, value=lambda i: rng.randrange(x_entries)
-    )
+    build_random_array(memory, rng, base=TABLE, num_words=x_entries, hi=x_entries)
     build_index_array(
         memory, rng, base=HEAP, num_entries=rows * gathers_per_row, target_entries=x_entries
     )
-    build_array(
-        memory, base=HEAP2, num_words=rows * gathers_per_row,
-        value=lambda i: rng.randrange(1, 1 << 8),
+    build_random_array(
+        memory, rng, base=HEAP2, num_words=rows * gathers_per_row, lo=1, hi=1 << 8
     )
     out = 0x6000_0000
     build_array(memory, base=out, num_words=16, value=lambda i: i + 1)

@@ -58,6 +58,7 @@ from .kernels import (
     build_array,
     build_index_array,
     build_offset_cycle,
+    build_random_array,
     emit_dispatch_tree,
     emit_reload_burst,
 )
@@ -213,7 +214,7 @@ def build_lbm(variant: str = "ref", scale: float = 1.0) -> Workload:
     rng = variant_rng(variant, salt=3)
     memory: dict[int, int] = {}
     cells = scaled(1500 if is_ref(variant) else 1250, scale)
-    build_array(memory, base=HEAP, num_words=cells * 3 + 8, value=lambda i: rng.randrange(1, 255))
+    build_random_array(memory, rng, base=HEAP, num_words=cells * 3 + 8, lo=1, hi=255)
 
     a = Asm()
     a.movi("r10", HEAP)
@@ -275,7 +276,7 @@ def build_deepsjeng(variant: str = "ref", scale: float = 1.0) -> Workload:
     rng = variant_rng(variant, salt=4)
     memory: dict[int, int] = {}
     tt_entries = 1 << 18  # 2 MiB transposition table
-    build_array(memory, base=TABLE, num_words=tt_entries, value=lambda i: rng.randrange(1 << 14))
+    build_random_array(memory, rng, base=TABLE, num_words=tt_entries, hi=1 << 14)
     nodes = scaled(640 if is_ref(variant) else 520, scale)
     out = _out_array(memory)
 
@@ -341,7 +342,7 @@ def build_perlbench(
     prog_len = scaled(1500 if is_ref(variant) else 1250, scale)
     build_index_array(memory, rng, base=HEAP, num_entries=prog_len, target_entries=num_ops)
     ht_entries = 1 << 18
-    build_array(memory, base=TABLE, num_words=ht_entries, value=lambda i: rng.randrange(1 << 12))
+    build_random_array(memory, rng, base=TABLE, num_words=ht_entries, hi=1 << 12)
     out = _out_array(memory)
 
     a = Asm()
@@ -478,9 +479,9 @@ def build_bwaves(variant: str = "ref", scale: float = 1.0) -> Workload:
     rng = variant_rng(variant, salt=7)
     memory: dict[int, int] = {}
     grid = scaled(1800 if is_ref(variant) else 1500, scale)
-    build_array(memory, base=HEAP, num_words=grid + 16, value=lambda i: rng.randrange(1, 1 << 10))
+    build_random_array(memory, rng, base=HEAP, num_words=grid + 16, lo=1, hi=1 << 10)
     gather_entries = 1 << 18
-    build_array(memory, base=TABLE, num_words=gather_entries, value=lambda i: rng.randrange(1 << 10))
+    build_random_array(memory, rng, base=TABLE, num_words=gather_entries, hi=1 << 10)
     build_index_array(memory, rng, base=HEAP2, num_entries=grid, target_entries=gather_entries)
 
     a = Asm()
@@ -538,9 +539,9 @@ def build_cactus(variant: str = "ref", scale: float = 1.0) -> Workload:
     rng = variant_rng(variant, salt=8)
     memory: dict[int, int] = {}
     cells = scaled(900 if is_ref(variant) else 740, scale)
-    build_array(memory, base=HEAP, num_words=cells + 8, value=lambda i: rng.randrange(1 << 16))
+    build_random_array(memory, rng, base=HEAP, num_words=cells + 8, hi=1 << 16)
     coeff_entries = 1 << 18
-    build_array(memory, base=TABLE, num_words=coeff_entries, value=lambda i: rng.randrange(1, 1 << 10))
+    build_random_array(memory, rng, base=TABLE, num_words=coeff_entries, lo=1, hi=1 << 10)
     out = _out_array(memory)
 
     a = Asm()
@@ -599,10 +600,8 @@ def build_fotonik(variant: str = "ref", scale: float = 1.0) -> Workload:
     memory: dict[int, int] = {}
     n = scaled(800 if is_ref(variant) else 660, scale)
     field_entries = 1 << 18
-    build_array(
-        memory, base=TABLE, num_words=field_entries, value=lambda i: rng.randrange(field_entries)
-    )
-    build_array(memory, base=HEAP3, num_words=field_entries, value=lambda i: rng.randrange(1 << 10))
+    build_random_array(memory, rng, base=TABLE, num_words=field_entries, hi=field_entries)
+    build_random_array(memory, rng, base=HEAP3, num_words=field_entries, hi=1 << 10)
     build_index_array(memory, rng, base=HEAP, num_entries=n, target_entries=field_entries)
     out = _out_array(memory)
 
@@ -657,7 +656,7 @@ def _build_md(name: str, salt: int, variant: str, scale: float, *, through_memor
     memory: dict[int, int] = {}
     pairs = scaled(800 if is_ref(variant) else 660, scale)
     pos_entries = 1 << 18
-    build_array(memory, base=TABLE, num_words=pos_entries, value=lambda i: rng.randrange(1, 1 << 10))
+    build_random_array(memory, rng, base=TABLE, num_words=pos_entries, lo=1, hi=1 << 10)
     build_index_array(memory, rng, base=HEAP, num_entries=pairs, target_entries=pos_entries)
     out = _out_array(memory)
 
@@ -739,9 +738,9 @@ def build_xz(variant: str = "ref", scale: float = 1.0) -> Workload:
     memory: dict[int, int] = {}
     steps = scaled(700 if is_ref(variant) else 580, scale)
     window = 1 << 14
-    build_array(memory, base=HEAP, num_words=window, value=lambda i: rng.randrange(256))
+    build_random_array(memory, rng, base=HEAP, num_words=window, hi=256)
     hash_entries = 1 << 18
-    build_array(memory, base=TABLE, num_words=hash_entries, value=lambda i: rng.randrange(window))
+    build_random_array(memory, rng, base=TABLE, num_words=hash_entries, hi=window)
     out = _out_array(memory)
 
     a = Asm()

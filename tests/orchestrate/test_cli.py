@@ -6,7 +6,6 @@ import json
 import pathlib
 
 from repro.orchestrate.__main__ import main
-from repro.sim.simulator import resolve_engine
 
 
 def run_cli(*argv) -> int:
@@ -33,7 +32,8 @@ def test_run_resume_report_flow(tmp_path, capsys):
     out = str(tmp_path / "runs")
     cache = str(tmp_path / "cache")
     base = ["run", "--experiment", "suite", "--workloads", "pointer_chase",
-            "--scale", "0.05", "--out", out, "--cache-dir", cache]
+            "--scale", "0.05", "--out", out, "--cache-dir", cache,
+            "--engine", "obj"]
 
     assert run_cli(*base) == 0
     printed = capsys.readouterr().out
@@ -54,18 +54,17 @@ def test_run_resume_report_flow(tmp_path, capsys):
     assert run_cli("report", "--run-dir", str(run_dir), "--json") == 0
     report = json.loads(capsys.readouterr().out)
     assert report["experiment"] == "suite"
-    assert report["identity"]["engine"] == resolve_engine(None)
+    assert report["identity"]["engine"] == "obj"
 
 
 def test_resume_with_a_different_engine_is_an_error(tmp_path, capsys):
     out = str(tmp_path / "runs")
     base = ["run", "--experiment", "suite", "--workloads", "pointer_chase",
             "--scale", "0.05", "--out", out, "--no-cache"]
-    assert run_cli(*base) == 0
+    assert run_cli(*base, "--engine", "obj") == 0
     capsys.readouterr()
 
-    other = "array" if resolve_engine(None) == "obj" else "obj"
-    assert run_cli(*base, "--resume", "--engine", other) == 1
+    assert run_cli(*base, "--resume", "--engine", "array") == 1
     err = capsys.readouterr().err
     assert "identity mismatch" in err and "instance.engine" in err
 

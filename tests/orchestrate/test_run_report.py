@@ -34,10 +34,6 @@ def cheap_experiment(**kw):
     return SuiteMatrix(**kw)
 
 
-def other_engine() -> str:
-    return "array" if resolve_engine(None) == "obj" else "obj"
-
-
 # -- fresh runs ----------------------------------------------------------------
 
 
@@ -142,10 +138,10 @@ def test_explicit_run_dir_refuses_silent_overwrite(tmp_path):
 
 
 def test_resume_rejects_a_different_engine(tmp_path):
-    execute_run(cheap_experiment(), out=tmp_path / "runs")
+    execute_run(cheap_experiment(), out=tmp_path / "runs", engine="obj")
     with pytest.raises(RunIdentityError, match="instance.engine"):
         execute_run(cheap_experiment(), out=tmp_path / "runs",
-                    resume=True, engine=other_engine())
+                    resume=True, engine="array")
 
 
 def test_resume_rejects_a_different_sample_spec(tmp_path):

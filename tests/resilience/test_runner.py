@@ -208,21 +208,17 @@ def test_scale_mismatch_rejected(tmp_path):
 def test_checkpoint_records_full_execution_identity(tmp_path):
     """Checkpoint v2: engine + cache schema ride along with every sweep."""
     from repro.parallel.cellkey import CACHE_SCHEMA_VERSION
-    from repro.sim.simulator import resolve_engine
 
-    state = make_runner(tmp_path, ok_cell).run()
+    state = make_runner(tmp_path, ok_cell, engine="obj").run()
     assert state["version"] == CHECKPOINT_VERSION
-    assert state["engine"] == resolve_engine(None)
+    assert state["engine"] == "obj"
     assert state["cache_schema"] == CACHE_SCHEMA_VERSION
 
 
 def test_engine_mismatch_rejected_on_resume(tmp_path):
-    from repro.sim.simulator import resolve_engine
-
-    make_runner(tmp_path, ok_cell).run()
-    other = "array" if resolve_engine(None) == "obj" else "obj"
+    make_runner(tmp_path, ok_cell, engine="obj").run()
     with pytest.raises(ValueError, match="engine"):
-        make_runner(tmp_path, ok_cell, engine=other).run(resume=True)
+        make_runner(tmp_path, ok_cell, engine="array").run(resume=True)
 
 
 def test_cache_schema_mismatch_rejected_on_resume(tmp_path):

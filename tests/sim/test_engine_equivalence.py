@@ -50,13 +50,13 @@ def test_ibda_mode_digests_identical():
 
 def test_engine_resolution_chain(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert resolve_engine(None) == "obj"
-    assert resolve_engine("array") == "array"
-    assert pipeline_class(None) is Pipeline
-    monkeypatch.setenv("REPRO_ENGINE", "array")
     assert resolve_engine(None) == "array"
-    assert resolve_engine("obj") == "obj"  # explicit beats env
+    assert resolve_engine("obj") == "obj"
     assert pipeline_class(None) is ArrayPipeline
+    monkeypatch.setenv("REPRO_ENGINE", "obj")
+    assert resolve_engine(None) == "obj"
+    assert resolve_engine("array") == "array"  # explicit beats env
+    assert pipeline_class(None) is Pipeline
     with pytest.raises(ValueError, match="unknown engine"):
         resolve_engine("jit")
     assert set(ENGINES) == {"obj", "array"}
