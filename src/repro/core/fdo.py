@@ -23,6 +23,7 @@ intermediate artefacts Figures 4, 10, 11 and 12 are computed from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..uarch.config import CoreConfig
 from ..workloads.base import REGISTRY, Workload
@@ -37,6 +38,9 @@ from .profiler import ProfileReport, profile_workload
 from .rewriter import Annotation, Rewriter
 from .slicer import Slice, extract_slice
 from .tracer import IndexedTrace
+
+if TYPE_CHECKING:
+    from ..isa.program import Program
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,8 @@ class CrispResult:
     """Output of one FDO run for one workload."""
 
     workload_name: str
+    #: The train binary the annotation was derived on.
+    program: Program
     profile: ProfileReport
     classification: Classification
     slices: list[Slice]
@@ -97,17 +103,69 @@ def _check_variant_compatibility(train: Workload, ref: Workload) -> None:
     and immediates differ); this guards that invariant, since annotations
     extracted on train are applied to ref by static PC.
     """
-    if len(train.program) != len(ref.program):
+    check_program_shapes(train.name, train.program, ref.program)
+
+
+def check_program_shapes(name: str, train: Program, ref: Program) -> None:
+    """Raise ``ValueError`` unless two binaries align by static PC."""
+    if len(train) != len(ref):
         raise ValueError(
-            f"{train.name}: train/ref programs differ in length "
-            f"({len(train.program)} vs {len(ref.program)}); annotations "
+            f"{name}: train/ref programs differ in length "
+            f"({len(train)} vs {len(ref)}); annotations "
             "cannot be transferred"
         )
-    for a, b in zip(train.program, ref.program):
+    for a, b in zip(train, ref):
         if a.opcode is not b.opcode:
             raise ValueError(
-                f"{train.name}: train/ref opcode mismatch at pc {a.idx}"
+                f"{name}: train/ref opcode mismatch at pc {a.idx}"
             )
+
+
+class TrainProfile:
+    """Step 1 of the flow, done once for every :class:`CrispConfig`.
+
+    Profiles the train input on the baseline core and memoises slices by
+    ``(root pc, kind, max_instances, max_nodes_per_instance)``. Instance
+    sampling is seeded per PC (:meth:`IndexedTrace.sample_instances`), so
+    a memoised slice is identical to a freshly extracted one and
+    :meth:`flow` gives every config exactly what a standalone
+    :func:`run_crisp_flow` call would.
+    """
+
+    def __init__(
+        self,
+        workload_name: str,
+        *,
+        core_config: CoreConfig | None = None,
+        scale: float = 1.0,
+        train_workload: Workload | None = None,
+        engine: str | None = None,
+    ):
+        self.workload_name = workload_name
+        self.train = train_workload or REGISTRY.build(
+            workload_name, variant="train", scale=scale)
+        self.indexed = IndexedTrace(self.train.trace())
+        self.profile, _ = profile_workload(
+            self.train, core_config, trace=self.indexed, engine=engine)
+        self._slices: dict[tuple, Slice] = {}
+        self._flows: dict[CrispConfig, CrispResult] = {}
+
+    def slice(self, root_pc: int, kind: str, max_instances: int,
+              max_nodes_per_instance: int = 4096) -> Slice:
+        key = (root_pc, kind, max_instances, max_nodes_per_instance)
+        if key not in self._slices:
+            self._slices[key] = extract_slice(
+                self.indexed, root_pc, kind=kind, max_instances=max_instances,
+                max_nodes_per_instance=max_nodes_per_instance)
+        return self._slices[key]
+
+    def flow(self, config: CrispConfig | None = None) -> CrispResult:
+        """Steps 2-5 for ``config`` on this profile (memoised per config)."""
+        config = config or CrispConfig()
+        if config not in self._flows:
+            self._flows[config] = run_crisp_flow(
+                self.workload_name, config, profiled=self)
+        return self._flows[config]
 
 
 def run_crisp_flow(
@@ -118,18 +176,21 @@ def run_crisp_flow(
     scale: float = 1.0,
     train_workload: Workload | None = None,
     engine: str | None = None,
+    profiled: TrainProfile | None = None,
 ) -> CrispResult:
     """Run the full Figure 5 software flow on a workload's *train* input.
 
     ``engine`` is the cycle model of the profiling run (see
-    :func:`~repro.core.profiler.profile_workload`).
+    :func:`~repro.core.profiler.profile_workload`). Pass ``profiled`` to
+    reuse a :class:`TrainProfile` (and its slices) across configs; the
+    profiling arguments are then ignored.
     """
     config = config or CrispConfig()
-    train = train_workload or REGISTRY.build(workload_name, variant="train", scale=scale)
-
-    # Step 1: profile on the baseline core.
-    indexed = IndexedTrace(train.trace())
-    profile, _ = profile_workload(train, core_config, trace=indexed, engine=engine)
+    if profiled is None:
+        profiled = TrainProfile(
+            workload_name, core_config=core_config, scale=scale,
+            train_workload=train_workload, engine=engine)
+    train, indexed, profile = profiled.train, profiled.indexed, profiled.profile
 
     # Step 2: classify delinquent loads and hard branches. Address streams
     # from the trace feed the "not a constant or stride" criterion.
@@ -141,13 +202,9 @@ def run_crisp_flow(
     # Step 3: slice extraction on the trace.
     slices: list[Slice] = []
     for pc in load_roots:
-        slices.append(
-            extract_slice(indexed, pc, kind="load", max_instances=config.max_instances)
-        )
+        slices.append(profiled.slice(pc, "load", config.max_instances))
     for pc in branch_roots:
-        slices.append(
-            extract_slice(indexed, pc, kind="branch", max_instances=config.max_instances)
-        )
+        slices.append(profiled.slice(pc, "branch", config.max_instances))
 
     # Step 4: critical-path filtering.
     filtered: dict[int, set[int]] = {}
@@ -173,6 +230,7 @@ def run_crisp_flow(
 
     return CrispResult(
         workload_name=workload_name,
+        program=train.program,
         profile=profile,
         classification=classification,
         slices=slices,
@@ -187,6 +245,5 @@ def annotate_for(
 ) -> frozenset[int]:
     """Transfer a train-derived annotation onto another variant's binary."""
     # Static indices align across variants; validate before transfer.
-    train = REGISTRY.build(result.workload_name, variant="train")
-    _check_variant_compatibility(train, workload)
+    check_program_shapes(result.workload_name, result.program, workload.program)
     return result.critical_pcs

@@ -116,14 +116,17 @@ def execute(
         Initial architectural register values, ``{reg_index: value}``.
     memory:
         Initial memory image keyed by *word* address (byte address >> 3).
-        The dict is not mutated; a copy is used internally.
+        The dict is never mutated and never copied: stores go to a private
+        overlay that loads consult first, reading through to the image for
+        words the program has not written.
     max_insts:
         Safety bound on the number of dynamic instructions.
     """
     reg_file = [0] * NUM_REGS
     for idx, value in (regs or {}).items():
         reg_file[idx] = value
-    mem: dict[int, int] = dict(memory or {})
+    image: dict[int, int] = memory if memory is not None else {}
+    stored: dict[int, int] = {}
 
     # Producer tracking for dependence links.
     reg_writer = [-1] * NUM_REGS
@@ -185,7 +188,10 @@ def execute(
                 reg_srcs = (reg_writer[sinst.src1],)
             word = addr >> 3
             mem_src = mem_writer.get(word, -1)
-            reg_file[sinst.dst] = mem.get(word, 0)
+            if mem_src < 0:
+                reg_file[sinst.dst] = image.get(word, 0)
+            else:
+                reg_file[sinst.dst] = stored[word]
             reg_writer[sinst.dst] = seq
         elif op is Opcode.STORE or op is Opcode.STORE_IDX:
             addr = reg_file[sinst.src1] + sinst.imm
@@ -199,7 +205,7 @@ def execute(
             else:
                 reg_srcs = (reg_writer[sinst.src1], reg_writer[sinst.dst])
             word = addr >> 3
-            mem[word] = reg_file[sinst.dst]
+            stored[word] = reg_file[sinst.dst]
             mem_writer[word] = seq
         elif op is Opcode.PREFETCH:
             addr = reg_file[sinst.src1] + sinst.imm

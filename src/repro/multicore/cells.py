@@ -52,7 +52,7 @@ def corun_cell(
     )
 
 
-def run_corun_cell(spec: CellSpec) -> dict:
+def run_corun_cell(spec: CellSpec, inputs=None) -> dict:
     """Worker-side execution of a co-run cell (see executor.run_cell_spec)."""
     corun = spec.corun
     assert isinstance(corun, CoRunSpec)
@@ -64,6 +64,7 @@ def run_corun_cell(spec: CellSpec) -> dict:
         invariants=spec.invariants,
         cycle_budget=spec.cycle_budget,
         crash_dir=spec.crash_dir,
+        inputs=inputs,
     )
     return {
         "workload": spec.workload,

@@ -67,21 +67,6 @@ class CoRunResult:
         return part.retired / part.cycles if part.cycles else 0.0
 
 
-def _core_annotation(task, *, config, scale, engine):
-    """Resolve one core's CRISP annotation (explicit, or FDO-derived)."""
-    if task.mode != "crisp":
-        return frozenset()
-    if task.critical_pcs is not None:
-        return frozenset(task.critical_pcs)
-    from ..core.fdo import run_crisp_flow
-
-    flow = run_crisp_flow(
-        task.workload, task.crisp_config, core_config=config, scale=scale,
-        engine=engine,
-    )
-    return flow.critical_pcs
-
-
 def run_corun(
     spec: CoRunSpec,
     *,
@@ -91,6 +76,7 @@ def run_corun(
     invariants: str | None = None,
     cycle_budget: int | None = None,
     crash_dir: str | None = None,
+    inputs=None,
 ) -> CoRunResult:
     """Run one co-run to completion and return its result.
 
@@ -98,12 +84,15 @@ def run_corun(
     base; per-core private prefetchers come from the task). Resilience
     knobs mirror :func:`~repro.sim.simulator.simulate`, applied per core.
 
-    Each distinct ``(workload, variant)`` input is built and emulated once;
-    every core running it reads the same :class:`ExecutionTrace`, which
-    the pipelines never mutate.
+    Traces and FDO-derived annotations come from ``inputs`` (a
+    :class:`~repro.parallel.inputs.InputSet`; a fresh in-memory one when
+    omitted), so each distinct ``(workload, variant)`` input is built and
+    emulated once and every core running it reads the same
+    :class:`ExecutionTrace`, which the pipelines never mutate.
     """
-    from ..workloads import get_workload
+    from ..parallel.inputs import InputSet
 
+    inputs = inputs if inputs is not None else InputSet()
     base = config if config is not None else CoreConfig.skylake()
     ncores = spec.ncores
     hcfg = base.hierarchy
@@ -123,9 +112,9 @@ def run_corun(
 
     pipes = []
     annotations: list[tuple[int, ...]] = []
-    traces = {}
     for idx, task in enumerate(spec.cores):
-        critical = _core_annotation(task, config=base, scale=scale, engine=engine)
+        critical = inputs.annotation(
+            task, scale=scale, config=base, engine=engine)
         core_config, used, ibda = resolve_mode(task.mode, base, critical)
         if task.prefetchers is not None:
             core_config = replace(
@@ -140,13 +129,8 @@ def run_corun(
         context = {"workload": task.workload, "mode": task.mode,
                    "core": idx, "mix": spec.label}
         watchdog = _make_watchdog(cycle_budget, crash_dir, context)
-        key = (task.workload, task.variant)
-        if key not in traces:
-            traces[key] = get_workload(
-                task.workload, variant=task.variant, scale=scale
-            ).trace()
         pipes.append(pipeline_class(engine)(
-            traces[key],
+            inputs.workload((task.workload, task.variant, scale)).trace(),
             core_config,
             critical_pcs=used,
             ibda=ibda,

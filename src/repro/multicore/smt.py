@@ -77,16 +77,17 @@ def smt_cell(
     )
 
 
-def run_smt_cell(spec: CellSpec) -> dict:
+def run_smt_cell(spec: CellSpec, inputs=None) -> dict:
     """Worker-side execution of an SMT cell (see executor.run_cell_spec)."""
+    from ..parallel.inputs import InputSet
     from ..uarch.smt import SmtPipeline
-    from ..workloads import get_workload
     from .engine import _make_watchdog
 
     smt = spec.smt
     assert isinstance(smt, SmtCellSpec)
+    inputs = inputs if inputs is not None else InputSet()
     traces = [
-        get_workload(name, variant=variant, scale=spec.scale).trace()
+        inputs.workload((name, variant, spec.scale)).trace()
         for name, variant in zip(smt.workloads, smt.variants)
     ]
     critical = None

@@ -46,10 +46,11 @@ CACHE_SCHEMA_VERSION = 2
 class CellSpec:
     """A picklable description of one simulation cell.
 
-    Workloads are referenced *by name* and rebuilt inside the worker
-    process; the spec never carries a trace or program object, so it stays
-    small on the pickle wire and the worker's reconstruction exercises the
-    same deterministic builder path as an in-process run.
+    Workloads are referenced *by name*; the spec never carries a trace or
+    program object, so it stays small on the pickle wire. The executor
+    builds each distinct input once per run and hands every cell that
+    consumes it the same trace (:mod:`repro.parallel.inputs`), through the
+    same deterministic builder an in-process run uses.
     """
 
     workload: str

@@ -11,11 +11,16 @@ Execution path per cell:
    consult the :class:`~repro.parallel.cache.ResultCache` if one is given;
    a hit skips simulation entirely.
 2. Misses are simulated — in-process when ``jobs <= 1``, otherwise on a
-   :class:`concurrent.futures.ProcessPoolExecutor`. Workers receive only
-   the picklable spec; the workload is rebuilt *by name* inside the worker
-   through the same deterministic builder an in-process run uses, and the
-   worker's global RNG is re-seeded from the cell key first, so no ambient
-   RNG state can leak between cells (guarded by
+   :class:`concurrent.futures.ProcessPoolExecutor`. Each distinct input is
+   built, emulated and (for crisp cells) profiled once per call, through
+   one run-level :class:`~repro.parallel.inputs.InputSet`: in-process it
+   builds lazily and drops each input after its last consumer; pooled,
+   input and FDO tasks run first and each cell is submitted once everything
+   it consumes is ready, receiving the picklable spec plus a view of those
+   inputs (docs/PARALLEL.md "Input sharing"). Inputs are built by the same
+   deterministic builders a cell with no sharing uses, and the worker's
+   global RNG is re-seeded from the cell key first, so no ambient RNG
+   state can leak between cells (guarded by
    ``tests/parallel/test_executor.py``'s cross-process determinism check).
 3. Failures follow the shared :class:`~repro.resilience.policy.RetryPolicy`
    (docs/RESILIENCE.md): :class:`~repro.resilience.errors.SimulationError`
@@ -38,17 +43,24 @@ round-tripping — they return a tagged failure dict instead.
 
 from __future__ import annotations
 
+import os
 import random
+import shutil
+import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..resilience.errors import CellTimeout, SimulationError
 from ..resilience.policy import RetryPolicy
 from ..uarch.stats import SimStats
 from .cache import ResultCache
 from .cellkey import CellSpec, cell_key
+
+if TYPE_CHECKING:  # imported where used: keeps run-time imports off start-up
+    from .inputs import CellNeeds, InputSet
 
 #: Cell states (shared vocabulary with the sweep checkpoint).
 STATUS_DONE = "done"
@@ -67,6 +79,9 @@ class PoolStats:
     hard_failures: int = 0
     worker_crashes: int = 0
     pool_rebuilds: int = 0
+    inputs_built: int = 0
+    inputs_reused: int = 0
+    fdo_profiles: int = 0
 
     def register_into(self, registry) -> None:
         """Register collector-backed counters (docs/METRICS.md contract)."""
@@ -84,9 +99,15 @@ class PoolStats:
             ("parallel.pool.hard_failures", "hard_failures",
              "cells recorded as failed (hard error or retries exhausted)"),
             ("parallel.pool.worker_crashes", "worker_crashes",
-             "in-flight cells lost to a dying worker process"),
+             "in-flight cells and input/FDO tasks lost to a dying worker"),
             ("parallel.pool.rebuilds", "pool_rebuilds",
              "process pools respawned after a worker crash"),
+            ("parallel.pool.inputs_built", "inputs_built",
+             "distinct inputs built and emulated once for a whole run"),
+            ("parallel.pool.inputs_reused", "inputs_reused",
+             "input consumers served by an already built input"),
+            ("parallel.pool.fdo_profiles", "fdo_profiles",
+             "train-input profiles shared by an FDO group's crisp cells"),
         )
         for name, field_name, desc in spec:
             registry.counter(
@@ -157,22 +178,24 @@ class CellResult:
 # -- worker side ---------------------------------------------------------------
 
 
-def run_cell_spec(spec: CellSpec) -> dict:
+def run_cell_spec(spec: CellSpec, inputs: InputSet | None = None) -> dict:
     """Simulate one cell and return its serialized result payload.
 
-    Runs identically in-process and inside a pool worker: the workload is
-    rebuilt by name, and the *global* RNG is re-seeded deterministically
-    from the cell key first so any builder that (illegitimately) touched
-    ``random`` module state would still behave reproducibly per cell rather
-    than depending on worker scheduling history.
+    Runs identically in-process and inside a pool worker. The cell's
+    traces and FDO annotation come from ``inputs`` (a fresh set when
+    omitted, which builds them here by name), and the *global* RNG is
+    re-seeded deterministically from the cell key first so any builder
+    that (illegitimately) touched ``random`` module state would still
+    behave reproducibly per cell rather than depending on worker
+    scheduling history.
     """
-    from ..core.fdo import run_crisp_flow
     from ..resilience.watchdog import CycleBudgetWatchdog, Watchdog
     from ..sim.simulator import simulate
-    from ..workloads import get_workload
+    from .inputs import InputSet
 
     key = cell_key(spec)
     random.seed(int(key[:16], 16))
+    inputs = inputs if inputs is not None else InputSet()
 
     if spec.corun is not None:
         # Composite cells (repro.multicore): one co-run / SMT run is one
@@ -180,26 +203,15 @@ def run_cell_spec(spec: CellSpec) -> dict:
         # display-only and the per-core modes live inside the sub-spec.
         from ..multicore.cells import run_corun_cell
 
-        return run_corun_cell(spec)
+        return run_corun_cell(spec, inputs)
     if spec.smt is not None:
         from ..multicore.smt import run_smt_cell
 
-        return run_smt_cell(spec)
+        return run_smt_cell(spec, inputs)
 
     config = spec.core_config()
-    critical: frozenset[int] = frozenset()
-    if spec.mode == "crisp":
-        if spec.critical_pcs is not None:
-            critical = frozenset(spec.critical_pcs)
-        else:
-            flow = run_crisp_flow(
-                spec.workload,
-                spec.crisp_config,
-                core_config=config,
-                scale=spec.scale,
-                engine=spec.engine,
-            )
-            critical = flow.critical_pcs
+    critical = inputs.annotation(
+        spec, scale=spec.scale, config=config, engine=spec.engine)
 
     watchdog = None
     context = {"workload": spec.workload, "mode": spec.mode,
@@ -211,7 +223,7 @@ def run_cell_spec(spec: CellSpec) -> dict:
     elif spec.crash_dir is not None:
         watchdog = Watchdog(crash_dir=spec.crash_dir, context=context)
 
-    workload = get_workload(spec.workload, variant=spec.variant, scale=spec.scale)
+    workload = inputs.workload((spec.workload, spec.variant, spec.scale))
     if spec.interval is not None:
         # Interval cell (repro.sampling): detailed-simulate only this
         # trace range behind functionally warmed state.
@@ -247,10 +259,18 @@ def run_cell_spec(spec: CellSpec) -> dict:
     }
 
 
+#: The input set of the cell this process is running, set only for the
+#: duration of :func:`_run_cell_with`; ``None`` runs a cell with no
+#: sharing. A module variable because ``_pool_run_cell`` must keep its
+#: one-argument form (the job server and the chaos tests call it, and
+#: substitute one-argument fakes for it).
+_cell_inputs: InputSet | None = None
+
+
 def _pool_run_cell(spec: CellSpec) -> dict:
     """Worker entry point: run one cell, return a tagged outcome dict."""
     try:
-        return {"ok": True, "payload": run_cell_spec(spec)}
+        return {"ok": True, "payload": run_cell_spec(spec, _cell_inputs)}
     except (CellTimeout, OSError) as exc:
         return {"ok": False, "transient": True,
                 "error": str(exc), "error_type": type(exc).__name__}
@@ -260,6 +280,30 @@ def _pool_run_cell(spec: CellSpec) -> dict:
                 "crash_bundle": exc.bundle_path}
     # ValueError (configuration error) intentionally propagates: every cell
     # would fail identically, so the whole run should stop. It pickles fine.
+
+
+def _run_cell_with(spec: CellSpec, inputs: InputSet) -> dict:
+    """Run ``_pool_run_cell(spec)`` with ``inputs`` as the cell's input set."""
+    global _cell_inputs
+    _cell_inputs = inputs
+    try:
+        return _pool_run_cell(spec)
+    finally:
+        _cell_inputs = None
+
+
+def _pool_prerequisite(task, *args) -> dict:
+    """Worker entry point of an input or FDO task; never raises.
+
+    A failed prerequisite only means its consumers build the input
+    themselves, which reproduces and reports whatever error it hit, in
+    the cell that owns it.
+    """
+    try:
+        return {"ok": True, "value": task(*args)}
+    except Exception as exc:  # noqa: BLE001 - reported by the consumers
+        return {"ok": False, "error_type": type(exc).__name__,
+                "error": str(exc)}
 
 
 # -- driver side ---------------------------------------------------------------
@@ -296,8 +340,10 @@ class _Pending:
     index: int
     spec: CellSpec
     key: str
+    #: The inputs the cell consumes (:func:`~repro.parallel.inputs.cell_needs`).
+    needs: CellNeeds
     attempts: int = 0
-    #: Wall-clock start of the first attempt (policy deadline accounting).
+    #: Wall-clock time of the first submission (policy deadline accounting).
     started: float = 0.0
 
     def elapsed(self) -> float:
@@ -327,6 +373,8 @@ def run_cells(
     deterministic jitter, deadline); when omitted, a zero-backoff policy
     with ``retries`` extra attempts reproduces the historical behaviour.
     """
+    from .inputs import InputSet, cell_needs
+
     if policy is None:
         policy = RetryPolicy.immediate(retries)
     stats = stats if stats is not None else PoolStats()
@@ -361,13 +409,26 @@ def run_cells(
                 resolve(index, _result_from_payload(
                     spec, key, payload, attempts=0, from_cache=True))
                 continue
-        pending.append(_Pending(index, spec, key))
+        pending.append(_Pending(index, spec, key, cell_needs(spec)))
 
     if pending and jobs <= 1:
+        inputs = InputSet([item.needs for item in pending], stats=stats)
         for item in pending:
-            _run_serial(item, policy, stats, resolve)
+            _run_serial(item, policy, stats, resolve, inputs)
+            inputs.release(item.needs)
     elif pending:
-        _run_pooled(pending, jobs, policy, stats, resolve)
+        # Spool files live beside the cache when there is one (the same
+        # filesystem as the run's other artefacts), never inside it.
+        parent = None
+        if cache is not None:
+            parent = os.path.dirname(os.path.abspath(cache.root))
+            if not os.path.isdir(parent):
+                parent = None
+        spool_dir = tempfile.mkdtemp(prefix="repro-inputs-", dir=parent)
+        try:
+            _run_pooled(pending, jobs, policy, stats, resolve, spool_dir)
+        finally:
+            shutil.rmtree(spool_dir, ignore_errors=True)
 
     return results  # type: ignore[return-value]
 
@@ -383,13 +444,14 @@ def _retryable(item: _Pending, outcome: dict, policy: RetryPolicy) -> bool:
     )
 
 
-def _run_serial(item: _Pending, policy: RetryPolicy, stats, resolve) -> None:
+def _run_serial(item: _Pending, policy: RetryPolicy, stats, resolve,
+                inputs: InputSet) -> None:
     item.started = time.monotonic()
     outcome: dict = {}
     while True:
         item.attempts += 1
         stats.cells_executed += 1
-        outcome = _pool_run_cell(item.spec)
+        outcome = _run_cell_with(item.spec, inputs)
         if outcome["ok"]:
             resolve(item.index, _result_from_payload(
                 item.spec, item.key, outcome["payload"],
@@ -412,27 +474,93 @@ def _crash_outcome() -> dict:
             "error": "worker process died mid-cell (pool broken)"}
 
 
-def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve) -> None:
-    """Pool driver with crash supervision and deterministic backoff.
+def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve,
+                spool_dir: str) -> None:
+    """Pool driver: prerequisite tasks, crash supervision, backoff.
 
-    Three item pools: ``futures`` (in flight), ``deferred`` (waiting out a
-    backoff delay as ``(ready_time, item)``), and the implicit done set.
-    A ``BrokenProcessPool`` from any future means a worker died: every
-    in-flight cell is lost at once, so the pool is respawned and each lost
-    cell is retried as a transient failure — or recorded as failed when
-    its budget is spent. Configuration errors (``ValueError``) still
-    propagate and abort the run.
+    Input tasks (one per distinct trace, spooled to ``spool_dir``) start
+    first; an FDO task starts once its group's train input is done, and a
+    cell once every input it consumes is done. There is no barrier: a cell
+    whose inputs are ready runs while other inputs are still being built.
+    A failed or lost prerequisite is recorded as unavailable and its
+    consumers build it themselves, so outcomes never depend on sharing.
+
+    Cells move between ``waiting`` (inputs not ready), ``futures`` (in
+    flight), ``deferred`` (waiting out a backoff delay as
+    ``(ready_time, item)``), and the implicit done set. A
+    ``BrokenProcessPool`` from any future means a worker died: every
+    in-flight cell and task is lost at once, so the pool is respawned, each
+    lost cell is retried as a transient failure — or recorded as failed
+    when its budget is spent — and each lost task becomes unavailable.
+    Configuration errors (``ValueError``) from a cell still propagate and
+    abort the run.
     """
+    # The task functions are looked up through the module at submit time,
+    # so a test can substitute a failing one.
+    from . import inputs as _inputs
+    from .inputs import FdoGroup, InputSet, count_uses
+
     pool = ProcessPoolExecutor(max_workers=jobs)
     futures: dict = {}
+    tasks: dict = {}
     deferred: list[tuple[float, _Pending]] = []
+    waiting = list(pending)
+    uses = count_uses(item.needs for item in pending)
+    # Finished prerequisites: spool path / FdoOutcome, or None if unavailable.
+    spooled: dict = {}
+    profiled: dict = {}
+    # FDO groups not yet started, with their configs in first-use order.
+    groups: dict = {}
+    for item in pending:
+        for group, config in item.needs.fdo:
+            groups.setdefault(group, {})[config] = None
+
+    def launch(fn, *args) -> Future:
+        try:
+            return pool.submit(fn, *args)
+        except BrokenProcessPool as exc:
+            # A worker died since the last wait: this submission is lost
+            # with the pool, exactly like work already in flight.
+            lost = Future()
+            lost.set_exception(exc)
+            return lost
 
     def submit(item: _Pending) -> None:
         if not item.started:
             item.started = time.monotonic()
         item.attempts += 1
         stats.cells_executed += 1
-        futures[pool.submit(_pool_run_cell, item.spec)] = item
+        view = InputSet(
+            spool={k: spooled[k] for k in item.needs.traces if spooled[k]},
+            fdo={g: profiled[g] for g in item.needs.groups if profiled[g]},
+        )
+        futures[launch(_run_cell_with, item.spec, view)] = item
+
+    def finish_task(key, value) -> None:
+        """Record a prerequisite's result; ``None`` marks it unavailable."""
+        if isinstance(key, FdoGroup):
+            profiled[key] = value
+            stats.fdo_profiles += value is not None
+        else:
+            spooled[key] = value
+            if value is not None:
+                stats.inputs_built += 1
+                stats.inputs_reused += uses[key] - 1
+
+    def dispatch() -> None:
+        """Start every FDO task and cell whose inputs are now done."""
+        for group in [g for g in groups if g.train in spooled]:
+            configs = list(groups.pop(group))
+            tasks[launch(_pool_prerequisite, _inputs.profile_group, group,
+                         configs, spooled[group.train])] = (group, None)
+        still = []
+        for item in waiting:
+            if (all(k in spooled for k in item.needs.traces)
+                    and all(g in profiled for g in item.needs.groups)):
+                submit(item)
+            else:
+                still.append(item)
+        waiting[:] = still
 
     def retry_or_fail(item: _Pending, outcome: dict) -> None:
         if _retryable(item, outcome, policy):
@@ -443,17 +571,44 @@ def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve) -> None:
             resolve(item.index, _result_from_failure(
                 item.spec, item.key, outcome, attempts=item.attempts))
 
+    def pool_broken(lost_cells: list, lost_tasks: list) -> None:
+        # A worker died. Every other in-flight future is dead too: drain
+        # them all, respawn the pool once, send each lost cell through the
+        # normal transient path and mark each lost task unavailable.
+        nonlocal pool
+        lost_cells += list(futures.values())
+        lost_tasks += list(tasks.values())
+        futures.clear()
+        tasks.clear()
+        stats.worker_crashes += len(lost_cells) + len(lost_tasks)
+        stats.pool_rebuilds += 1
+        pool.shutdown(wait=False, cancel_futures=True)
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        for key, _ in lost_tasks:
+            finish_task(key, None)
+        for lost_item in lost_cells:
+            retry_or_fail(lost_item, _crash_outcome())
+
     try:
+        order = []
         for item in pending:
-            submit(item)
-        while futures or deferred:
+            order += item.needs.traces
+            order += [group.train for group in item.needs.groups]
+        for number, key in enumerate(dict.fromkeys(order)):
+            path = os.path.join(spool_dir, f"{number}.pkl")
+            tasks[launch(_pool_prerequisite, _inputs.spool_input, key,
+                         path)] = (key, path)
+        while True:
+            dispatch()
             now = time.monotonic()
             due = [item for ready, item in deferred if ready <= now]
             if due:
                 deferred = [(r, i) for r, i in deferred if i not in due]
                 for item in due:
                     submit(item)
-            if not futures:
+            if not futures and not tasks:
+                if not deferred:
+                    break
                 # Only backoff timers left: sleep until the earliest.
                 time.sleep(max(0.0, min(r for r, _ in deferred) - now))
                 continue
@@ -461,25 +616,30 @@ def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve) -> None:
             if deferred:
                 timeout = max(0.0, min(r for r, _ in deferred) - now)
             finished, _ = wait(
-                futures, timeout=timeout, return_when=FIRST_COMPLETED)
+                [*futures, *tasks], timeout=timeout,
+                return_when=FIRST_COMPLETED)
             for future in finished:
+                if future in tasks:
+                    key, path = tasks.pop(future)
+                    try:
+                        outcome = future.result()
+                    except BrokenProcessPool:
+                        pool_broken([], [(key, path)])
+                        break
+                    except Exception:  # noqa: BLE001 - e.g. unpicklable
+                        outcome = {"ok": False}
+                    # An input's result is its spool file; a group's is
+                    # the returned FdoOutcome.
+                    finish_task(key, (path or outcome["value"])
+                                if outcome["ok"] else None)
+                    continue
                 item = futures.pop(future)
                 try:
                     # Configuration errors (ValueError) propagate from
                     # .result() by design: every cell would fail the same.
                     outcome = future.result()
                 except BrokenProcessPool:
-                    # A worker died. Every other in-flight future is dead
-                    # too: drain them all, respawn the pool once, and send
-                    # each lost cell through the normal transient path.
-                    lost = [item] + list(futures.values())
-                    futures.clear()
-                    stats.worker_crashes += len(lost)
-                    stats.pool_rebuilds += 1
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(max_workers=jobs)
-                    for lost_item in lost:
-                        retry_or_fail(lost_item, _crash_outcome())
+                    pool_broken([item], [])
                     break
                 if outcome["ok"]:
                     resolve(item.index, _result_from_payload(
@@ -488,5 +648,6 @@ def _run_pooled(pending, jobs, policy: RetryPolicy, stats, resolve) -> None:
                     continue
                 _record_attempt_failure(outcome, stats)
                 retry_or_fail(item, outcome)
+        assert not waiting, "cells left waiting on inputs that never finished"
     finally:
         pool.shutdown(wait=False, cancel_futures=True)

@@ -45,7 +45,8 @@ def test_corrupt_entry_degrades_to_miss(cache):
 
 def test_schema_mismatch_degrades_to_miss(cache):
     path = cache.put(KEY_A, {"ipc": 1.0})
-    payload = json.load(open(path))
+    with open(path) as handle:
+        payload = json.load(handle)
     payload["schema"] = CACHE_SCHEMA_VERSION + 1
     with open(path, "w") as handle:
         json.dump(payload, handle)
@@ -134,7 +135,8 @@ def test_binary_garbage_is_counted_corrupt(cache):
 
 def test_mismatched_entry_is_counted_corrupt(cache):
     path = cache.put(KEY_A, {"ipc": 1.0})
-    payload = json.load(open(path))
+    with open(path) as handle:
+        payload = json.load(handle)
     payload["key"] = KEY_B  # stored under the wrong address
     with open(path, "w") as handle:
         json.dump(payload, handle)
