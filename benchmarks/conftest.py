@@ -12,7 +12,6 @@ tables survive the run.
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
@@ -24,25 +23,6 @@ BENCH_SCALE = 0.5
 
 #: Subset used by the quadratic-cost sweeps (fig8/fig9/fig10).
 SWEEP_WORKLOADS = ["mcf", "lbm", "moses", "xhpcg", "deepsjeng", "memcached", "namd", "cactus"]
-
-
-@pytest.fixture(scope="session", autouse=True)
-def bench_execution():
-    """Let benchmark runs use the parallel layer (docs/PARALLEL.md).
-
-    ``REPRO_BENCH_JOBS=N`` fans cells out over N worker processes and
-    ``REPRO_BENCH_CACHE=DIR`` reuses results across benchmark invocations.
-    Both default off so a plain ``pytest benchmarks/`` still measures the
-    serial, uncached numbers recorded in EXPERIMENTS.md.
-    """
-    from repro.experiments.common import execution_context
-    from repro.parallel import ResultCache
-
-    jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-    cache_dir = os.environ.get("REPRO_BENCH_CACHE")
-    cache = ResultCache(cache_dir) if cache_dir else None
-    with execution_context(jobs=jobs, cache=cache) as options:
-        yield options
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Benchmark the sweep executor: wall-clock, jobs, and cache hit-rate.
 
-Runs the same (workload x mode) sweep twice against one result cache — a
-*cold* pass that simulates every cell and a *warm* pass that should answer
+Runs the same (workload x mode) ``suite`` matrix twice through
+``execute_run`` against one result cache — a *cold* pass that simulates every cell and a *warm* pass that should answer
 every cell from the cache — and records both to ``BENCH_sweep.json``:
 
 ```bash
@@ -50,26 +50,24 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 
-def run_pass(workloads, modes, scale, jobs, cache, checkpoint_path):
-    from repro.experiments.runner import SweepRunner
+def run_pass(workloads, modes, scale, jobs, cache, out_dir):
+    """One ``suite`` matrix run into ``out_dir``; (seconds, {cell: (ipc, cycles)})."""
+    from repro.orchestrate.experiment import SuiteMatrix
+    from repro.orchestrate.runs import execute_run
 
-    runner = SweepRunner(
-        workloads=workloads,
-        modes=modes,
-        checkpoint_path=str(checkpoint_path),
-        scale=scale,
-        jobs=jobs,
-        cache=cache,
-    )
+    results = {}
+
+    def on_cell(key, result):
+        if result.ok:
+            results[result.spec.label()] = (result.ipc, result.stats.cycles)
+
     start = time.perf_counter()
-    state = runner.run()
+    summary = execute_run(
+        SuiteMatrix(scale=scale, workloads=workloads, modes=modes),
+        out=str(out_dir), jobs=jobs, cache=cache, on_cell=on_cell)
     elapsed = time.perf_counter() - start
-    failed = [k for k, c in state["cells"].items() if c["status"] != "done"]
-    if failed:
-        raise SystemExit(f"sweep cells failed: {failed}")
-    results = {
-        key: (cell["ipc"], cell["cycles"]) for key, cell in state["cells"].items()
-    }
+    if summary["failed"]:
+        raise SystemExit(f"sweep cells failed: see {summary['run_dir']}/report.md")
     return elapsed, results
 
 
@@ -308,7 +306,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--work-dir", default=None, metavar="DIR",
-        help="scratch directory for cache + checkpoints (default: temp)",
+        help="scratch directory for cache + run directories (default: temp)",
     )
     parser.add_argument(
         "--sample", default="smarts:1000/10000", metavar="SPEC",
@@ -375,10 +373,10 @@ def main(argv=None) -> int:
     cache = ResultCache(str(work_dir / "cache"))
 
     cold_s, cold_results = run_pass(
-        workloads, modes, args.scale, args.jobs, cache, work_dir / "cold.json"
+        workloads, modes, args.scale, args.jobs, cache, work_dir / "cold"
     )
     warm_s, warm_results = run_pass(
-        workloads, modes, args.scale, args.jobs, cache, work_dir / "warm.json"
+        workloads, modes, args.scale, args.jobs, cache, work_dir / "warm"
     )
     if warm_results != cold_results:
         raise SystemExit("warm pass produced different per-cell results")

@@ -4,8 +4,11 @@
 Starts ``python -m repro.serve`` as a real subprocess on a UNIX socket,
 submits one cell through the client, asserts the result arrives with a
 plausible IPC, then delivers SIGTERM with a bulk sweep still in flight
-and asserts the server drains gracefully: exit code 0, a drain
-checkpoint for the unfinished sweep, and a "drained" farewell on stdout.
+and asserts the server drains gracefully: exit code 0 and a "drained"
+farewell on stdout. If the sweep was still unfinished, its drained run
+directory must record the ``suite`` experiment and its full identity,
+hold only planned cells, and complete under
+``python -m repro.orchestrate run --resume --run-dir <dir>``.
 
 Run by CI (the ``serve-smoke`` job) and by
 ``tests/serve/test_server.py``; exits 0 and prints ``SMOKE OK`` on
@@ -90,21 +93,32 @@ def main() -> int:
         assert "drained, exiting" in out, "no graceful-drain farewell"
 
         # A SIGTERM mid-sweep leaves either a finished job (nothing to
-        # checkpoint) or a resume-ready checkpoint for the remainder.
-        checkpoints = sorted(pathlib.Path(drain_dir).glob("*.json"))
-        if checkpoints:
-            state = json.load(open(checkpoints[0]))
-            from repro.experiments.runner import CHECKPOINT_VERSION
-
-            assert state["version"] == CHECKPOINT_VERSION, state
-            assert "cells" in state, state
+        # save) or a run directory that resumes the remainder.
+        manifests = sorted(pathlib.Path(drain_dir).glob("*/run-*/manifest.json"))
+        if manifests:
+            run_dir = manifests[0].parent
+            manifest = json.loads(manifests[0].read_text())
+            assert manifest["experiment"] == "suite", manifest
             # Full instance identity must be recorded (resume safety).
-            assert state["engine"] in ("obj", "array"), state
-            assert isinstance(state["cache_schema"], int), state
-            print(f"drain checkpoint: {checkpoints[0].name} "
-                  f"({len(state['cells'])}/6 cells finished)")
+            identity = manifest["instance"]
+            assert identity["engine"] in ("obj", "array"), identity
+            assert isinstance(identity["cache_schema"], int), identity
+            stored = {p.stem for p in (run_dir / "cells").glob("*.json")}
+            assert stored <= set(manifest["cells"]), (stored, manifest)
+            print(f"drained run dir: {run_dir.relative_to(workdir)} "
+                  f"({len(stored)}/{len(manifest['cells'])} cells finished)")
+            resume = subprocess.run(
+                [sys.executable, "-m", "repro.orchestrate", "run",
+                 "--resume", "--run-dir", str(run_dir),
+                 "--cache-dir", str(workdir / "cache")],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert resume.returncode == 0, resume.stdout + resume.stderr
+            resumed = json.loads((run_dir / "manifest.json").read_text())
+            assert resumed["status"] == "complete", resumed["status"]
+            print("resumed run dir: complete")
         else:
-            print("sweep finished before SIGTERM; nothing to checkpoint")
+            print("sweep finished before SIGTERM; nothing to save")
     finally:
         if server.poll() is None:
             server.kill()

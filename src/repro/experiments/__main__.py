@@ -1,12 +1,17 @@
 """CLI: ``python -m repro.experiments <id> [--scale S] [--jobs N] ...``.
 
-Execution flags shared by every experiment (docs/PARALLEL.md): ``--jobs``
-fans simulation cells out over a process pool, ``--cache-dir`` points at
-the content-addressed result cache (default ``.repro_cache``; re-running
-an experiment re-simulates only changed cells), ``--no-cache`` disables it,
-and ``--engine=obj|array`` picks the cycle-model implementation
-(docs/ENGINE.md; digest-identical results, so it composes freely with the
-cache and ``--sample``).
+Every id runs as its registered experiment's ``run_inline`` with the
+shared execution flags (docs/PARALLEL.md): ``--jobs`` fans simulation
+cells out over a process pool, ``--cache-dir`` points at the
+content-addressed result cache (default ``.repro_cache``; re-running an
+experiment re-simulates only changed cells), ``--no-cache`` disables it,
+``--sample`` runs cells through the sampled estimator, and
+``--engine=obj|array`` picks the cycle-model implementation
+(docs/ENGINE.md; digest-identical results).
+
+``sweep`` is an alias for the ``suite`` matrix run into an orchestrate
+run directory (``python -m repro.orchestrate run --experiment suite``),
+plus the sweep's retry-policy and per-cell knobs (docs/RESILIENCE.md).
 """
 
 from __future__ import annotations
@@ -15,53 +20,52 @@ import argparse
 import sys
 import time
 
-from . import EXPERIMENTS, run_experiment
+from ..orchestrate.cli import (
+    add_execution_args,
+    execution_options,
+    print_cell,
+    print_summary,
+)
+from . import EXPERIMENTS
 
 
-def build_cache(args):
-    from ..parallel.cache import ResultCache
-
-    if args.no_cache:
-        return None
-    return ResultCache(args.cache_dir)
-
-
-def build_policy(args):
-    """The sweep's RetryPolicy from --retries/--retry-backoff/--deadline."""
+def run_sweep(args, options: dict) -> int:
+    """The suite matrix through ``execute_run``, resumable by run dir."""
+    from ..orchestrate.experiment import SuiteMatrix
+    from ..orchestrate.rundir import RunIdentityError
+    from ..orchestrate.runs import execute_run
     from ..resilience.policy import RetryPolicy
 
-    return RetryPolicy(
-        retries=args.retries,
-        backoff_base=args.retry_backoff,
-        deadline=args.deadline,
-    )
-
-
-def run_sweep(args) -> int:
-    from ..workloads import suite_names
-    from .runner import SweepRunner
-
-    workloads = args.workloads.split(",") if args.workloads else suite_names()
-    runner = SweepRunner(
-        workloads=workloads,
-        modes=args.modes.split(","),
-        checkpoint_path=args.checkpoint,
+    experiment = SuiteMatrix(
         scale=args.scale,
-        retries=args.retries,
-        policy=build_policy(args),
-        cycle_budget=args.cycle_budget,
-        invariants=args.invariants,
-        crash_dir=args.crash_dir,
-        jobs=args.jobs,
-        cache=build_cache(args),
-        sample=args.sample,
-        engine=args.engine,
-        on_cell=lambda key, cell: print(f"  {key}: {cell['status']}", flush=True),
+        workloads=args.workloads.split(",") if args.workloads else None,
+        modes=tuple(args.modes.split(",")),
     )
-    state = runner.run(resume=args.resume, retry_failed=args.retry_failed)
-    print(runner.summary())
-    failed = sum(1 for c in state["cells"].values() if c["status"] != "done")
-    return 1 if failed else 0
+    try:
+        summary = execute_run(
+            experiment,
+            out=args.out,
+            run_dir=args.run_dir,
+            resume=args.resume,
+            **options,
+            policy=RetryPolicy(retries=args.retries,
+                               backoff_base=args.retry_backoff,
+                               deadline=args.deadline),
+            cycle_budget=args.cycle_budget,
+            invariants=args.invariants,
+            crash_dir=args.crash_dir,
+            on_cell=print_cell,
+        )
+    except (RunIdentityError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    status = print_summary(summary, markdown=args.markdown, aggregate=False)
+    cache = options["cache"]
+    if cache is not None:
+        stats = cache.stats
+        print(f"cache: {stats.hits} hits / {stats.misses} misses "
+              f"({stats.hit_rate:.0%} hit rate), {stats.stores} stored")
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,41 +91,21 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print markdown tables instead of aligned text",
     )
-    execution = parser.add_argument_group("execution options (docs/PARALLEL.md)")
-    execution.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for simulation cells (default: 1, in-process)",
-    )
-    execution.add_argument(
-        "--cache-dir", default=".repro_cache", metavar="DIR",
-        help="content-addressed result cache directory (default: .repro_cache)",
-    )
-    execution.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the result cache (always re-simulate)",
-    )
-    execution.add_argument(
-        "--sample", default="off", metavar="SPEC",
-        help="sampled simulation: off | smarts:<detail>/<period> | "
-        "simpoint:<k>[/<interval>] (docs/SAMPLING.md; default: off)",
-    )
-    execution.add_argument(
-        "--engine", choices=("obj", "array"), default=None,
-        help="cycle-model implementation for every cell (docs/ENGINE.md); "
-        "default: REPRO_ENGINE env var, then 'array' -- results are identical",
-    )
+    add_execution_args(parser)
     sweep = parser.add_argument_group("sweep options")
     sweep.add_argument(
-        "--checkpoint", default="sweep_checkpoint.json", metavar="PATH",
-        help="checkpoint file for 'sweep' (one JSON cell per finished run)",
+        "--out", default="runs", metavar="DIR",
+        help="root of run directories for 'sweep' (default: runs)",
+    )
+    sweep.add_argument(
+        "--run-dir", default=None, metavar="DIR",
+        help="explicit run directory for 'sweep' "
+        "(default: allocate <out>/suite/run-NNN)",
     )
     sweep.add_argument(
         "--resume", action="store_true",
-        help="resume 'sweep' from the checkpoint, re-running only unfinished cells",
-    )
-    sweep.add_argument(
-        "--retry-failed", action="store_true",
-        help="with --resume, also re-run cells recorded as failed",
+        help="resume 'sweep' from the latest (or --run-dir) run directory, "
+        "re-running only missing or failed cells",
     )
     sweep.add_argument(
         "--modes", default="ooo,crisp",
@@ -145,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--cycle-budget", type=int, default=None, metavar="CYCLES",
         help="simulated-cycle budget per sweep cell (deterministic timeout; "
-        "works in pool workers, unlike the old wall-clock --timeout)",
+        "works in pool workers and off the main thread)",
     )
     sweep.add_argument(
         "--invariants", choices=("off", "periodic", "full"), default="off",
@@ -159,38 +143,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.sample != "off":
-        from ..sampling import parse_sample
-
-        try:
-            parse_sample(args.sample)
-        except ValueError as exc:
-            parser.error(str(exc))
-
+    args = build_parser().parse_args(argv)
+    options = execution_options(args)
     if args.experiment == "sweep":
-        return run_sweep(args)
+        return run_sweep(args, options)
 
-    from .common import execution_context
+    from ..orchestrate.experiment import TAKES_NO_WORKLOADS, get_experiment
 
     names = [args.experiment] if args.experiment != "all" else sorted(EXPERIMENTS)
-    with execution_context(jobs=args.jobs, cache=build_cache(args),
-                           sample=args.sample, engine=args.engine):
-        for name in names:
-            kwargs = {}
-            if name not in ("table1",):
-                kwargs["scale"] = args.scale
-            takes_no_workloads = (
-                "table1", "fig1", "sec31", "discussion_smt", "discussion_division",
-            )
-            if args.workloads and name not in takes_no_workloads:
-                kwargs["workloads"] = args.workloads.split(",")
-            start = time.time()
-            result = run_experiment(name, **kwargs)
-            print(result.to_markdown() if args.markdown else result.to_text())
-            print(f"[{name} took {time.time() - start:.0f}s]\n")
+    for name in names:
+        kwargs = {"scale": args.scale}
+        if args.workloads and name not in TAKES_NO_WORKLOADS:
+            kwargs["workloads"] = args.workloads.split(",")
+        start = time.time()
+        result = get_experiment(name)(**kwargs).run_inline(**options)
+        print(result.to_markdown() if args.markdown else result.to_text())
+        print(f"[{name} took {time.time() - start:.0f}s]\n")
     return 0
 
 

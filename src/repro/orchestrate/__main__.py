@@ -9,8 +9,12 @@ run directory's tables without simulating.
 Execution flags are the same set every experiment CLI takes
 (docs/PARALLEL.md): ``--jobs``, ``--cache-dir``/``--no-cache``,
 ``--sample``, ``--engine``. ``run --resume`` continues the latest (or
-named) run directory, simulating only missing cells — after verifying
-the run's recorded identity matches this invocation.
+named) run directory, simulating only missing or failed cells — after
+verifying the run's recorded identity matches this invocation.
+``run --resume --run-dir DIR`` without ``--experiment`` rebuilds the
+experiment and its identity from DIR's manifest, so any run directory —
+one written by ``run``, by the ``sweep`` alias or by a ``serve`` drain —
+resumes with that one command.
 """
 
 from __future__ import annotations
@@ -20,17 +24,10 @@ import json
 import sys
 from pathlib import Path
 
+from .cli import add_execution_args, execution_options, print_cell, print_summary
 from .experiment import experiment_names, get_experiment, registry
 from .rundir import RunIdentityError, latest_run_dir
 from .runs import execute_run, report_run
-
-
-def build_cache(args):
-    from ..parallel.cache import ResultCache
-
-    if args.no_cache:
-        return None
-    return ResultCache(args.cache_dir)
 
 
 def cmd_list(args) -> int:
@@ -47,6 +44,11 @@ def cmd_list(args) -> int:
 
 
 def make_experiment(args):
+    """The selected experiment; ``None`` resumes the one ``--run-dir`` records."""
+    if args.experiment is None:
+        if not (args.resume and args.run_dir):
+            raise ValueError("run needs --experiment, or --resume --run-dir DIR")
+        return None
     cls = get_experiment(args.experiment)
     kwargs = {"scale": args.scale, "seeds": args.seeds}
     if args.workloads:
@@ -55,34 +57,16 @@ def make_experiment(args):
 
 
 def cmd_run(args) -> int:
-    experiment = make_experiment(args)
     summary = execute_run(
-        experiment,
+        make_experiment(args),
         out=args.out,
         run_dir=args.run_dir,
         resume=args.resume,
-        jobs=args.jobs,
-        cache=build_cache(args),
-        sample=args.sample,
-        engine=args.engine,
-        on_cell=lambda key, result: print(
-            f"  {result.spec.label()}: {result.status}"
-            f"{' (cached)' if result.from_cache else ''}",
-            flush=True,
-        ),
+        **execution_options(args),
+        on_cell=print_cell,
     )
-    print(f"run dir: {summary['run_dir']}")
-    figure = summary["figure"]
-    if figure is not None:
-        print(figure.to_markdown() if args.markdown else figure.to_text())
-    aggregate = summary["aggregate"]
-    if aggregate is not None and (args.aggregate or figure is None):
-        print(aggregate.to_markdown() if args.markdown else aggregate.to_text())
-    if summary["failed"]:
-        print(f"{summary['failed']} cell(s) failed; see "
-              f"{summary['run_dir']}/report.md", file=sys.stderr)
-        return 1
-    return 0
+    return print_summary(summary, markdown=args.markdown,
+                         aggregate=args.aggregate)
 
 
 def cmd_report(args) -> int:
@@ -106,9 +90,10 @@ def cmd_report(args) -> int:
 
 def add_selection_args(parser) -> None:
     parser.add_argument(
-        "--experiment", required=True,
+        "--experiment", default=None,
         choices=experiment_names(), metavar="NAME",
-        help="experiment id from the registry ('list' prints them)",
+        help="experiment id from the registry ('list' prints them); "
+        "optional with --resume --run-dir, which reads it from the manifest",
     )
     parser.add_argument("--scale", type=float, default=1.0,
                         help="workload scale factor")
@@ -150,29 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print markdown tables instead of aligned text")
     run_p.add_argument("--aggregate", action="store_true",
                        help="also print the seed-aggregate table")
-    execution = run_p.add_argument_group("execution options (docs/PARALLEL.md)")
-    execution.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for simulation cells (default: 1, in-process)",
-    )
-    execution.add_argument(
-        "--cache-dir", default=".repro_cache", metavar="DIR",
-        help="content-addressed result cache directory (default: .repro_cache)",
-    )
-    execution.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the result cache (always re-simulate)",
-    )
-    execution.add_argument(
-        "--sample", default="off", metavar="SPEC",
-        help="sampled simulation: off | smarts:<detail>/<period> | "
-        "simpoint:<k>[/<interval>] (docs/SAMPLING.md; default: off)",
-    )
-    execution.add_argument(
-        "--engine", choices=("obj", "array"), default=None,
-        help="cycle-model implementation (docs/ENGINE.md); default: "
-        "REPRO_ENGINE env var, then 'array' -- results are identical",
-    )
+    add_execution_args(run_p)
     run_p.set_defaults(func=cmd_run)
 
     report_p = sub.add_parser(
@@ -194,13 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "sample", "off") != "off":
-        from ..sampling import parse_sample
-
-        try:
-            parse_sample(args.sample)
-        except ValueError as exc:
-            parser.error(str(exc))
     try:
         return args.func(args)
     except (RunIdentityError, FileNotFoundError, ValueError) as exc:

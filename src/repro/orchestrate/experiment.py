@@ -3,9 +3,10 @@
 An :class:`Experiment` declares *what* to run — its targets (workloads ×
 seed replicas), its instances (mode/config columns), and how the resolved
 cells become a report table. *How* cells run (pool, cache, sampling,
-engine) stays in the execution layers; ``run_inline`` routes through
-:func:`repro.experiments.common.run_cells`, so the CLI's
-``--jobs/--cache-dir/--sample/--engine`` context applies unchanged.
+engine) stays in the execution layers: :func:`run_specs` is the one
+function that turns cells plus explicit execution options into results,
+shared by ``Experiment.run_inline`` and
+:func:`~repro.orchestrate.runs.execute_run`.
 
 Two kinds live in the registry:
 
@@ -22,8 +23,9 @@ Two kinds live in the registry:
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from ..parallel import executor
 from ..parallel.cellkey import CellSpec, cell_key
 from ..parallel.executor import CellResult
 from .instance import Instance
@@ -178,21 +180,73 @@ class Experiment:
 
     # -- execution -------------------------------------------------------------
 
-    def run_inline(self):
-        """Plan, run under the active execution context, and build the table.
+    def run_inline(self, *, jobs: int = 1, cache=None,
+                   sample: str | None = "off", engine: str | None = None):
+        """Plan, run with the given execution options, and build the table.
 
-        This is the body of every ported figure module's ``run()`` shim:
-        library callers and ``python -m repro.experiments <id>`` keep their
-        historical behaviour (in-process by default, pool/cache/sampled
-        when an ``execution_context`` is active).
+        This is the body of every ported figure module's ``run()`` shim
+        (in-process and uncached by default) and of
+        ``python -m repro.experiments <id>``, which passes its
+        ``--jobs/--cache-dir/--sample/--engine`` flags here.
         """
-        from ..experiments.common import run_cells
-
         plan = self.plan()
-        results = run_cells([cell.spec for cell in plan])
+        results = run_specs([cell.spec for cell in plan], jobs=jobs,
+                            cache=cache, sample=sample, engine=engine)
         for result in results:
             result.require_stats()
         return self.table(plan, results)
+
+
+def stamp_specs(specs: list[CellSpec], **knobs) -> list[CellSpec]:
+    """``specs`` with each non-``None`` execution-only knob (``engine``,
+    ``cycle_budget``, ``invariants``, ``crash_dir``) set on every spec
+    that does not pin its own."""
+    knobs = {name: value for name, value in knobs.items() if value is not None}
+    if not knobs:
+        return list(specs)
+    return [
+        replace(spec, **{name: value for name, value in knobs.items()
+                         if getattr(spec, name) is None})
+        for spec in specs
+    ]
+
+
+def run_specs(
+    specs: list[CellSpec],
+    *,
+    jobs: int = 1,
+    cache=None,
+    sample: str | None = "off",
+    engine: str | None = None,
+    policy=None,
+    cycle_budget: int | None = None,
+    invariants: str | None = None,
+    crash_dir: str | None = None,
+    on_result=None,
+) -> list[CellResult]:
+    """Run cells under explicit execution options; results in input order.
+
+    ``engine`` and the execution-only knobs (``cycle_budget``,
+    ``invariants``, ``crash_dir``) are not part of the cell key; they are
+    stamped by :func:`stamp_specs` and change how cells run, never what a
+    successful cell produces (docs/ENGINE.md). A ``sample`` spec other
+    than ``"off"`` (or ``None``) makes each result the sampled
+    estimator's extrapolated whole-run view (same shape, so tables are
+    oblivious to sampling).
+    ``policy`` is the shared :class:`~repro.resilience.policy.RetryPolicy`
+    (``None``: one immediate retry). ``on_result`` is called per resolved
+    cell in completion order.
+    """
+    specs = stamp_specs(specs, engine=engine, cycle_budget=cycle_budget,
+                        invariants=invariants, crash_dir=crash_dir)
+    if sample not in (None, "off"):
+        from ..sampling import parse_sample, run_cells_sampled
+
+        return run_cells_sampled(specs, parse_sample(sample), jobs=jobs,
+                                 cache=cache, policy=policy,
+                                 on_result=on_result)
+    return executor.run_cells(specs, jobs=jobs, cache=cache, policy=policy,
+                              on_result=on_result)
 
 
 # -- legacy wrappers -----------------------------------------------------------
@@ -209,8 +263,8 @@ class LegacyExperiment(Experiment):
     """Auto-generated wrapper for a figure module without a declarative port.
 
     It cannot lower to cells (``plan()`` is empty) but runs and reports
-    through the same CLI, with the execution context applied — modules
-    that internally use ``run_cells`` still get the pool and cache.
+    through the same CLI. The wrapped modules simulate directly, so the
+    execution options ``run_inline`` accepts do not apply to them.
     """
 
     kind = "legacy"
@@ -220,7 +274,7 @@ class LegacyExperiment(Experiment):
     def plan(self) -> list[PlannedCell]:
         return []
 
-    def run_inline(self):
+    def run_inline(self, **options):
         kwargs = {}
         if self.name not in TAKES_NO_SCALE:
             kwargs["scale"] = self.scale
@@ -295,7 +349,8 @@ def get_experiment(name: str) -> type[Experiment]:
 
 @register
 class SuiteMatrix(Experiment):
-    """The resumable sweep's (workload × mode) matrix as an Experiment.
+    """The (workload × mode) matrix behind ``python -m repro.experiments
+    sweep`` and the job server's ``sweep`` op.
 
     The generic report applies: per-workload median IPC per mode, with
     stdev over seed replicas in the aggregate table — the thousand-cell

@@ -19,7 +19,7 @@ from ..parallel.cellkey import CACHE_SCHEMA_VERSION, cell_key
 from ..parallel.executor import STATUS_DONE, STATUS_FAILED, CellResult
 from ..sim.simulator import resolve_engine
 from ..uarch.stats import SimStats
-from .experiment import Experiment, PlannedCell, get_experiment
+from .experiment import Experiment, PlannedCell, get_experiment, run_specs
 from .report import aggregate_rows, aggregate_table
 from .rundir import (
     RunIdentityError,
@@ -36,7 +36,7 @@ from .rundir import (
 
 
 def _cell_payload(result: CellResult) -> dict:
-    """The JSON stored per resolved cell (superset of a checkpoint row)."""
+    """The JSON stored per resolved cell."""
     payload = {
         "status": result.status,
         "attempts": result.attempts,
@@ -153,16 +153,32 @@ def _failed_rows(plan: list[PlannedCell], results: list[CellResult | None]) -> l
     return failed
 
 
+def store_result(run_dir: str | Path, result: CellResult) -> str:
+    """Persist one resolved cell into a run directory; returns its key."""
+    key = cell_key(result.spec)
+    store_cell(run_dir, key, _cell_payload(result))
+    return key
+
+
+def experiment_from_manifest(manifest: dict) -> Experiment:
+    """Rebuild the experiment a manifest records (name plus ``args``)."""
+    return get_experiment(manifest["experiment"])(**manifest.get("args", {}))
+
+
 def execute_run(
-    experiment: Experiment,
+    experiment: Experiment | None,
     *,
     out: str | Path = "runs",
     run_dir: str | Path | None = None,
     resume: bool = False,
     jobs: int = 1,
     cache=None,
-    sample: str = "off",
+    sample: str | None = None,
     engine: str | None = None,
+    policy=None,
+    cycle_budget: int | None = None,
+    invariants: str | None = None,
+    crash_dir: str | None = None,
     on_cell=None,
 ) -> dict:
     """Run one experiment into a run directory; returns a summary dict.
@@ -170,10 +186,25 @@ def execute_run(
     ``resume=True`` reopens an existing run directory (``run_dir`` or the
     experiment's latest under ``out``), verifies its recorded identity
     matches this invocation (:class:`RunIdentityError` otherwise), and
-    simulates only the cells without a stored result.
+    simulates only the cells without a stored successful result. With
+    ``experiment=None`` a resume rebuilds the experiment from the
+    ``run_dir`` manifest and takes ``engine`` and ``sample`` from its
+    recorded identity unless they are given. ``policy`` (the shared
+    :class:`~repro.resilience.policy.RetryPolicy`) and the execution-only
+    ``cycle_budget``/``invariants``/``crash_dir`` knobs apply to the cells
+    this call simulates (:func:`~repro.orchestrate.experiment.run_specs`).
     """
-    from ..experiments.common import execution_context, run_cells
-
+    if experiment is None:
+        if not (resume and run_dir):
+            raise ValueError(
+                "execute_run needs an experiment, or resume=True and a "
+                "run_dir whose manifest records one"
+            )
+        recorded = load_manifest(run_dir)
+        experiment = experiment_from_manifest(recorded)
+        engine = engine or recorded["instance"]["engine"]
+        sample = sample or recorded["instance"]["sample"]
+    sample = sample or "off"
     engine = resolve_engine(engine)
     plan = experiment.plan()
     fresh_manifest = build_manifest(experiment, plan, engine=engine, sample=sample)
@@ -196,12 +227,11 @@ def execute_run(
         manifest = fresh_manifest
         atomic_write_json(manifest_path(path), manifest)
 
+    options = {"jobs": jobs, "cache": cache, "sample": sample, "engine": engine}
     if not plan:
-        # Legacy experiment: not cell-shaped; run it whole under the same
-        # execution context and persist only the rendered report.
-        with execution_context(jobs=jobs, cache=cache, sample=sample,
-                               engine=engine):
-            figure = experiment.run_inline()
+        # Legacy experiment: not cell-shaped; run it whole and persist
+        # only the rendered report.
+        figure = experiment.run_inline(**options)
         manifest["status"] = "complete"
         atomic_write_json(manifest_path(path), manifest)
         report = _write_reports(path, manifest, figure, None, None, [])
@@ -225,15 +255,16 @@ def execute_run(
             pending.append(plan[indices[0]])
 
     def persist(result: CellResult) -> None:
-        key = cell_key(result.spec)
-        store_cell(path, key, _cell_payload(result))
+        key = store_result(path, result)
         if on_cell is not None:
             on_cell(key, result)
 
     if pending:
-        with execution_context(jobs=jobs, cache=cache, sample=sample,
-                               engine=engine):
-            fresh = run_cells([c.spec for c in pending], on_result=persist)
+        fresh = run_specs(
+            [c.spec for c in pending], **options, policy=policy,
+            cycle_budget=cycle_budget, invariants=invariants,
+            crash_dir=crash_dir, on_result=persist,
+        )
         for cell, result in zip(pending, fresh):
             for index in by_key[cell.key]:
                 results[index] = result
@@ -277,8 +308,7 @@ def report_run(run_dir: str | Path) -> dict:
             f"{CACHE_SCHEMA_VERSION} — re-run instead of re-reporting"
         )
 
-    cls = get_experiment(manifest["experiment"])
-    experiment = cls(**manifest.get("args", {}))
+    experiment = experiment_from_manifest(manifest)
 
     if manifest.get("kind") == "legacy" or not manifest.get("cells"):
         # Re-render the stored report (legacy runs keep no cells).

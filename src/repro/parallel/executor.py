@@ -62,14 +62,14 @@ from .cellkey import CellSpec, cell_key
 if TYPE_CHECKING:  # imported where used: keeps run-time imports off start-up
     from .inputs import CellNeeds, InputSet
 
-#: Cell states (shared vocabulary with the sweep checkpoint).
+#: Cell states (shared vocabulary with orchestrate run directories).
 STATUS_DONE = "done"
 STATUS_FAILED = "failed"
 
 
 @dataclass
 class PoolStats:
-    """Execution counters for one ``run_cells`` call (or a whole sweep)."""
+    """Execution counters for one ``run_cells`` call (or a whole server)."""
 
     cells_total: int = 0
     cells_cached: int = 0
@@ -157,8 +157,8 @@ class CellResult:
             )
         return self.stats
 
-    def checkpoint_row(self) -> dict:
-        """The sweep-checkpoint cell dict for this result."""
+    def row(self) -> dict:
+        """The compact per-cell row (the job server's ``wait`` results)."""
         row = {"status": self.status, "attempts": self.attempts, "key": self.key}
         if self.ok:
             stats = self.require_stats()
@@ -365,8 +365,8 @@ def run_cells(
     ``jobs <= 1`` runs in-process (no pool, no pickling); higher values use
     a process pool with at most ``jobs`` workers. ``on_result`` is called
     with each :class:`CellResult` *as it resolves* (completion order —
-    useful for incremental checkpointing); the returned list is always in
-    input order.
+    run directories persist cells incrementally through it); the returned
+    list is always in input order.
 
     Retry behaviour is governed by ``policy``
     (:class:`~repro.resilience.policy.RetryPolicy`: budget, backoff,

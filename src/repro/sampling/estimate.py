@@ -84,7 +84,7 @@ class SampledEstimate:
         return self.detailed_insts / self.total_insts if self.total_insts else 0.0
 
     def brief(self) -> dict:
-        """Small JSON-safe summary (checkpoint rows, bench records)."""
+        """Small JSON-safe summary (stored cells, bench records)."""
         ipc_lo, ipc_hi = self.ipc_ci
         return {
             "policy": self.policy,

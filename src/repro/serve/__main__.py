@@ -3,9 +3,9 @@
 Starts a :class:`~repro.serve.server.SimServer` on a UNIX socket
 (``--socket``) or TCP port (``--port``) and serves until SIGTERM/SIGINT,
 which triggers a graceful drain: admission stops, in-flight cells finish
-(up to ``--drain-timeout``), incomplete sweep jobs are checkpointed into
-``--drain-dir`` in the resumable-sweep format, and only then does the
-process exit. See docs/SERVE.md.
+(up to ``--drain-timeout``), incomplete sweep and experiment jobs are
+saved under ``--drain-dir`` as orchestrate run directories, and only
+then does the process exit. See docs/SERVE.md.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=DEFAULT_QUEUE_LIMITS["bulk"],
                         metavar="CELLS", help="bulk admission bound")
     parser.add_argument("--drain-dir", default="serve_drain", metavar="DIR",
-                        help="where drain checkpoints are written")
+                        help="root of the run directories a drain writes")
     parser.add_argument("--drain-timeout", type=float, default=30.0,
                         metavar="SECONDS",
                         help="how long a drain waits for in-flight cells")

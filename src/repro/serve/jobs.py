@@ -1,16 +1,17 @@
 """Job bookkeeping for the simulation server.
 
-A :class:`Job` is one client request (``submit`` or ``sweep``) fanned out
-into simulation cells. Cells resolve independently — possibly shared with
-other jobs through the server's duplicate-request coalescing — and the
-job reaches a terminal state exactly once, when its last cell resolves
-(``done``/``failed``) or the server drains it (``drained``).
+A :class:`Job` is one client request (``submit``, ``sweep`` or
+``experiment``) fanned out into simulation cells. Cells resolve
+independently — possibly shared with other jobs through the server's
+duplicate-request coalescing — and the job reaches a terminal state
+exactly once, when its last cell resolves (``done``/``failed``) or the
+server drains it (``drained``).
 
 State machine::
 
     queued -> running -> done      (every cell ok)
                       \\-> failed   (>= 1 cell failed; all terminal)
-    queued|running -> drained      (graceful drain checkpointed it)
+    queued|running -> drained      (graceful drain saved it as a run dir)
 
 ``asyncio.Event`` is the only concurrency primitive: everything here runs
 on the server's event loop, so plain attribute updates are race-free.
@@ -45,21 +46,20 @@ class Job:
     priority: str
     specs: list[CellSpec]
     keys: list[str]
-    #: Sweep-shaped jobs carry their matrix for drain checkpointing.
-    workloads: list[str] | None = None
-    modes: list[str] | None = None
-    scale: float = 1.0
-    #: Requested engine (None = server default); recorded in drain
-    #: checkpoints so a resume cannot silently mix instances.
+    #: The orchestration experiment (docs/ORCHESTRATION.md) a ``sweep``
+    #: or ``experiment`` job lowers from, and its plan; a drain writes
+    #: the job's finished cells as a run directory of this experiment.
+    experiment: object = None
+    plan: list = field(default_factory=list)
+    #: Requested engine (None = server default); recorded in the drained
+    #: run's manifest so a resume cannot silently mix instances.
     engine: str | None = None
-    #: Orchestration experiment name, for jobs admitted via the
-    #: ``experiment`` op (docs/ORCHESTRATION.md).
-    experiment: str | None = None
     created: float = field(default_factory=time.monotonic)
     state: str = JOB_QUEUED
     results: list = field(default_factory=list)
-    #: Path of the drain checkpoint, when the job was drained mid-flight.
-    checkpoint: str | None = None
+    #: The run directory a drain saved the job to, if it was drained
+    #: mid-flight.
+    run_dir: str | None = None
     event: asyncio.Event = field(default_factory=asyncio.Event)
 
     def __post_init__(self):
@@ -96,12 +96,12 @@ class Job:
         self.event.set()
         return True
 
-    def mark_drained(self, checkpoint: str | None) -> None:
+    def mark_drained(self, run_dir: str | None) -> None:
         """Terminal ``drained`` state; waiters unblock with partial rows."""
         if self.terminal:
             return
         self.state = JOB_DRAINED
-        self.checkpoint = checkpoint
+        self.run_dir = run_dir
         self.event.set()
 
     # -- wire views -----------------------------------------------------------
@@ -115,10 +115,10 @@ class Job:
             "cells": len(self.specs),
             "remaining": self.remaining,
         }
-        if self.experiment:
-            row["experiment"] = self.experiment
-        if self.checkpoint:
-            row["checkpoint"] = self.checkpoint
+        if self.experiment is not None:
+            row["experiment"] = self.experiment.name
+        if self.run_dir:
+            row["run_dir"] = self.run_dir
         return row
 
     def result_rows(self) -> list[dict]:
@@ -131,7 +131,7 @@ class Job:
                     "key": key, "status": "pending",
                 })
                 continue
-            row = result.checkpoint_row()
+            row = result.row()
             row.update(workload=spec.workload, mode=spec.mode)
             rows.append(row)
         return rows

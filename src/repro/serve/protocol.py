@@ -245,7 +245,13 @@ def parse_submit(req: dict) -> tuple[list[CellSpec], str]:
 
 
 def parse_sweep(req: dict) -> tuple[list[str], list[str], float, dict, str]:
-    """Validated ``(workloads, modes, scale, extras, priority)`` of a sweep."""
+    """Validated ``(workloads, modes, scale, extras, priority)`` of a sweep.
+
+    The server runs it as the ``suite`` matrix experiment; ``extras`` are
+    the execution-only ``engine`` and ``cycle_budget`` stamped on its
+    cells. Every (workload, mode) cell is validated exactly as a
+    ``submit`` cell would be.
+    """
     workloads = _require(req, "workloads", list)
     modes = _require(req, "modes", list)
     if not workloads or not all(isinstance(w, str) and w for w in workloads):
@@ -259,6 +265,10 @@ def parse_sweep(req: dict) -> tuple[list[str], list[str], float, dict, str]:
     for field in ("cycle_budget", "engine"):
         if req.get(field) is not None:
             extras[field] = req[field]
+    for workload in workloads:
+        for mode in modes:
+            parse_cell({"workload": workload, "mode": mode, "scale": scale,
+                        **extras})
     return workloads, modes, float(scale), extras, parse_priority(req, "bulk")
 
 

@@ -16,9 +16,10 @@ interesting question — *how does it fail?* — has boring answers:
   (:func:`~repro.parallel.cellkey.cell_key`): N clients asking for the
   same cell share one execution and one cache store.
 * **Graceful drain** — SIGTERM (or the ``drain`` op) stops admission,
-  lets in-flight cells finish, checkpoints incomplete sweep jobs in the
-  resumable-sweep format (``python -m repro.experiments sweep --resume``
-  completes them), and only then stops.
+  lets in-flight cells finish, saves every incomplete ``sweep`` or
+  ``experiment`` job as an orchestrate run directory
+  (``python -m repro.orchestrate run --resume --run-dir DIR`` completes
+  it), and only then stops.
 * **Determinism** — cells are pure functions of their spec
   (docs/PARALLEL.md), so no matter how many crashes, hangs, retries, or
   corrupt cache entries a run suffers, a job that reaches ``done``
@@ -33,9 +34,6 @@ pool replacement.
 from __future__ import annotations
 
 import asyncio
-import json
-import os
-import tempfile
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -100,7 +98,8 @@ class SimServer:
         declares the worker hung and kills the pool. ``None`` disables
         hang detection (crashes are still supervised).
     drain_dir:
-        Where drain checkpoints for incomplete sweep jobs are written.
+        Root of the run directories a drain writes for incomplete
+        ``sweep``/``experiment`` jobs (``<drain_dir>/<experiment>/run-NNN``).
     """
 
     def __init__(
@@ -199,7 +198,7 @@ class SimServer:
         self._tasks.clear()
         if self._pool is not None:
             # Kill outright rather than shutdown-and-wait: any cell still
-            # running here was already checkpointed away by drain() (or
+            # running here was already saved away by drain() (or
             # the caller chose a hard stop), and a hung worker must not
             # be able to block process exit.
             self._kill_workers()
@@ -443,7 +442,7 @@ class SimServer:
     # -- drain ----------------------------------------------------------------
 
     async def drain(self) -> dict:
-        """Graceful shutdown: stop admitting, finish or checkpoint, stop.
+        """Graceful shutdown: stop admitting, finish or save, stop.
 
         Idempotent; returns a summary dict (also the ``drain`` response).
         """
@@ -457,8 +456,7 @@ class SimServer:
         for job in self._jobs.values():
             if job.terminal:
                 continue
-            checkpoint = self._checkpoint_job(job)
-            job.mark_drained(checkpoint)
+            job.mark_drained(self._save_run_dir(job))
             self.stats.jobs_drained += 1
             drained.append(job.row())
         self._drained_summary = {
@@ -468,50 +466,34 @@ class SimServer:
         self._stopped.set()
         return self._drained_summary
 
-    def _checkpoint_job(self, job: Job) -> str | None:
-        """A resumable-sweep checkpoint of the job's finished cells.
+    def _save_run_dir(self, job: Job) -> str | None:
+        """Save a job's resolved cells as an orchestrate run directory.
 
-        Only sweep-shaped jobs (a ``workloads x modes`` matrix at one
-        scale) are checkpointable — the format is exactly
-        :class:`~repro.experiments.runner.SweepRunner`'s, so
-        ``python -m repro.experiments sweep --checkpoint <path> --resume``
-        finishes the job offline.
+        Jobs that lower from an experiment (the ``sweep`` and
+        ``experiment`` ops) get a manifest recording the experiment, its
+        args and the full instance identity, plus one stored cell per
+        resolved result, so ``python -m repro.orchestrate run --resume
+        --run-dir <dir>`` simulates exactly the job's remaining cells.
+        Plain ``submit`` jobs have no experiment and are not saved.
         """
-        if job.workloads is None or job.modes is None:
+        if job.experiment is None:
             return None
-        from ..experiments.runner import CHECKPOINT_VERSION
-        from ..parallel.cellkey import CACHE_SCHEMA_VERSION
-        from ..sim.simulator import resolve_engine
+        from ..orchestrate.rundir import (
+            atomic_write_json,
+            build_manifest,
+            manifest_path,
+            new_run_dir,
+        )
+        from ..orchestrate.runs import store_result
 
-        cells = {}
-        for spec, result in zip(job.specs, job.results):
+        path = new_run_dir(self.drain_dir, job.experiment.name)
+        manifest = build_manifest(job.experiment, job.plan, engine=job.engine)
+        manifest["status"] = "partial"
+        atomic_write_json(manifest_path(path), manifest)
+        for result in job.results:
             if result is not None:
-                cells[f"{spec.workload}/{spec.mode}"] = result.checkpoint_row()
-        state = {
-            "version": CHECKPOINT_VERSION,
-            "scale": job.scale,
-            "sample": "off",
-            # Full instance identity (same contract as the sweep runner
-            # and the orchestration manifest): a resume under a different
-            # engine or cache-schema generation is rejected, not mixed.
-            "engine": resolve_engine(job.engine),
-            "cache_schema": CACHE_SCHEMA_VERSION,
-            "workloads": job.workloads,
-            "modes": job.modes,
-            "cells": cells,
-        }
-        os.makedirs(self.drain_dir, exist_ok=True)
-        path = os.path.join(self.drain_dir, f"{job.id}.json")
-        fd, tmp = tempfile.mkstemp(dir=self.drain_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(state, handle, indent=1, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return path
+                store_result(path, result)
+        return str(path)
 
     # -- transport ------------------------------------------------------------
 
@@ -560,40 +542,22 @@ class SimServer:
         if op == "sweep":
             workloads, modes, scale, extras, priority = (
                 protocol.parse_sweep(request))
-            specs = [
-                protocol.parse_cell({"workload": w, "mode": m,
-                                     "scale": scale, **extras})
-                for w in workloads for m in modes
-            ]
-            job, rejection = self.admit(
-                specs, priority,
-                workloads=workloads, modes=modes, scale=scale,
-                engine=extras.get("engine"))
-            return rejection or protocol.ok_response(**job.row())
+            from ..orchestrate.experiment import SuiteMatrix
+
+            experiment = SuiteMatrix(scale=scale, workloads=workloads,
+                                     modes=modes)
+            return self._admit_experiment(experiment, priority, **extras)
         if op == "experiment":
             name, kwargs, engine, priority = (
                 protocol.parse_experiment(request))
-            from dataclasses import replace
-
             from ..orchestrate import get_experiment
 
             try:
                 experiment = get_experiment(name)(**kwargs)
-                plan = experiment.plan()
             except ValueError as exc:
                 raise ProtocolError(
                     str(exc), code=protocol.E_BAD_REQUEST) from exc
-            specs = [cell.spec for cell in plan]
-            if engine is not None:
-                specs = [
-                    replace(spec, engine=engine) if spec.engine is None
-                    else spec
-                    for spec in specs
-                ]
-            job, rejection = self.admit(
-                specs, priority, experiment=name, engine=engine,
-                scale=kwargs["scale"])
-            return rejection or protocol.ok_response(**job.row())
+            return self._admit_experiment(experiment, priority, engine=engine)
         if op in ("status", "wait"):
             job = self._jobs.get(request.get("job"))
             if job is None:
@@ -621,6 +585,23 @@ class SimServer:
         raise ProtocolError(
             f"unknown op {op!r}; known: {protocol.OPS}",
             code=protocol.E_BAD_REQUEST)
+
+    def _admit_experiment(self, experiment, priority: str, *,
+                          engine: str | None = None,
+                          cycle_budget: int | None = None) -> dict:
+        """Admit an experiment's plan as one job (``sweep``/``experiment``)."""
+        from ..orchestrate.experiment import stamp_specs
+
+        try:
+            plan = experiment.plan()
+        except ValueError as exc:
+            raise ProtocolError(
+                str(exc), code=protocol.E_BAD_REQUEST) from exc
+        specs = stamp_specs([cell.spec for cell in plan], engine=engine,
+                            cycle_budget=cycle_budget)
+        job, rejection = self.admit(specs, priority, experiment=experiment,
+                                    plan=plan, engine=engine)
+        return rejection or protocol.ok_response(**job.row())
 
     # -- introspection --------------------------------------------------------
 

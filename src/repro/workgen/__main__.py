@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 
+from ..orchestrate.cli import add_execution_args, execution_options
 from .generator import build_generated, program_digest, workload_digest
 from .grid import PREFETCHER_SETS, PropertyGrid
 from .spec import (
@@ -98,8 +99,6 @@ HEADER = ("knob", "requested", "measured", "tolerance", "status")
 
 
 def cmd_grid(args) -> int:
-    from ..experiments.common import execution_context
-
     experiment = PropertyGrid(
         scale=args.scale,
         seeds=args.seeds,
@@ -109,14 +108,7 @@ def cmd_grid(args) -> int:
         prefetchers=tuple(args.prefetchers.split(",")) if args.prefetchers else None,
         gen_seed=args.gen_seed,
     )
-    cache = None
-    if not args.no_cache:
-        from ..parallel.cache import ResultCache
-
-        cache = ResultCache(args.cache_dir)
-    with execution_context(jobs=args.jobs, cache=cache, sample=args.sample,
-                           engine=args.engine):
-        result = experiment.run_inline()
+    result = experiment.run_inline(**execution_options(args))
     print(result.to_markdown() if args.markdown else result.to_text())
     return 0
 
@@ -181,11 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed replicas per cell (median reported)")
     grid_p.add_argument("--gen-seed", type=int, default=0,
                         help="generator data seed baked into the gen: names")
-    grid_p.add_argument("--jobs", type=int, default=1)
-    grid_p.add_argument("--cache-dir", default=".repro_cache")
-    grid_p.add_argument("--no-cache", action="store_true")
-    grid_p.add_argument("--sample", default="off")
-    grid_p.add_argument("--engine", choices=("obj", "array"), default=None)
+    add_execution_args(grid_p)
     grid_p.add_argument("--markdown", action="store_true")
     grid_p.set_defaults(func=cmd_grid)
     return parser

@@ -86,3 +86,31 @@ def test_run_writes_cells_incrementally(tmp_path):
         payload = json.loads(cell.read_text())
         assert payload["status"] == "done"
         assert payload["workload"] == "pointer_chase"
+
+
+def test_resume_by_run_dir_rebuilds_the_experiment_from_its_manifest(
+        tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    assert run_cli("run", "--experiment", "suite", "--workloads",
+                   "pointer_chase", "--scale", "0.05", "--out", out,
+                   "--no-cache", "--engine", "obj") == 0
+    run_dir = pathlib.Path(out, "suite", "run-001")
+    victim = sorted((run_dir / "cells").glob("*.json"))[0]
+    victim.unlink()
+    capsys.readouterr()
+
+    # No --experiment, scale, workloads or engine: all come from the
+    # manifest, and only the missing cell is simulated.
+    assert run_cli("run", "--resume", "--run-dir", str(run_dir),
+                   "--no-cache") == 0
+    printed = capsys.readouterr().out
+    assert printed.count(": done") == 1
+    assert victim.is_file()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["status"] == "complete"
+    assert manifest["instance"]["engine"] == "obj"
+
+
+def test_run_without_experiment_needs_resume_and_run_dir(tmp_path, capsys):
+    assert run_cli("run", "--out", str(tmp_path / "runs")) == 1
+    assert "--experiment" in capsys.readouterr().err

@@ -1,71 +1,86 @@
-"""Sweep runner on the parallel layer: --jobs, cache, resume composition."""
+"""The ``sweep`` alias on the parallel layer: --jobs, cache, resume composition.
+
+``python -m repro.experiments sweep`` runs the ``suite`` matrix through
+``execute_run``; these tests check that pooling and the result cache
+compose with it exactly as with any other orchestrated run.
+"""
 
 from __future__ import annotations
 
-import json
+import pathlib
 
 from repro.experiments.__main__ import main as experiments_main
-from repro.experiments.runner import SweepRunner
-from repro.parallel import ResultCache
+from repro.orchestrate import execute_run
+from repro.orchestrate.experiment import SuiteMatrix
+from repro.orchestrate.rundir import load_cells
+from repro.parallel import CellSpec, ResultCache, run_cells
 
-FAST = dict(workloads=["mcf", "lbm"], modes=["ooo", "crisp"], scale=0.05)
+FAST = dict(workloads=["mcf", "lbm"], modes=("ooo", "crisp"), scale=0.05)
 
 
-def cells_of(state):
+def rows_of(run_dir):
+    """{workload/mode: (ipc, cycles, retired)} of a run dir's stored cells."""
     return {
-        key: (cell["ipc"], cell["cycles"], cell["retired"])
-        for key, cell in state["cells"].items()
+        f"{c['workload']}/{c['mode']}":
+            (c["ipc"], c["stats"]["cycles"], c["stats"]["retired"])
+        for c in load_cells(run_dir).values()
     }
 
 
 def test_parallel_sweep_matches_serial(tmp_path):
-    serial = SweepRunner(checkpoint_path=str(tmp_path / "serial.json"), **FAST)
-    pooled = SweepRunner(
-        checkpoint_path=str(tmp_path / "pooled.json"), jobs=4, **FAST
-    )
-    serial_state = serial.run()
-    pooled_state = pooled.run()
-    assert cells_of(serial_state) == cells_of(pooled_state)
-    assert all(c["status"] == "done" for c in pooled_state["cells"].values())
+    serial = execute_run(SuiteMatrix(**FAST), out=tmp_path / "serial")
+    pooled = execute_run(SuiteMatrix(**FAST), out=tmp_path / "pooled", jobs=4)
+    assert pooled["failed"] == 0
+    assert rows_of(serial["run_dir"]) == rows_of(pooled["run_dir"])
+    # ... and both equal plain cells run outside any experiment.
+    direct = {}
+    for workload in FAST["workloads"]:
+        for mode in FAST["modes"]:
+            (result,) = run_cells([CellSpec(workload=workload, mode=mode,
+                                             scale=FAST["scale"])])
+            stats = result.require_stats()
+            direct[f"{workload}/{mode}"] = (result.ipc, stats.cycles,
+                                            stats.retired)
+    assert rows_of(serial["run_dir"]) == direct
 
 
 def test_second_sweep_hits_cache_for_every_cell(tmp_path):
     cache = ResultCache(str(tmp_path / "cache"))
-    first = SweepRunner(
-        checkpoint_path=str(tmp_path / "a.json"), jobs=2, cache=cache, **FAST
-    )
-    first_state = first.run()
+    first = execute_run(SuiteMatrix(**FAST), out=tmp_path / "runs", jobs=2,
+                        cache=cache)
     assert cache.stats.hits == 0
 
-    second = SweepRunner(
-        checkpoint_path=str(tmp_path / "b.json"), jobs=2, cache=cache, **FAST
-    )
-    second_state = second.run()
+    seen = []
+    second = execute_run(SuiteMatrix(**FAST), out=tmp_path / "runs", jobs=2,
+                         cache=cache, on_cell=lambda key, r: seen.append(r))
     cell_count = len(FAST["workloads"]) * len(FAST["modes"])
     assert cache.stats.hits == cell_count  # acceptance: every cell hits
-    assert cells_of(first_state) == cells_of(second_state)
-    assert all(c["cached"] for c in second_state["cells"].values())
+    assert rows_of(first["run_dir"]) == rows_of(second["run_dir"])
+    assert len(seen) == cell_count and all(r.from_cache for r in seen)
 
 
 def test_resume_composes_with_jobs_and_cache(tmp_path):
     cache = ResultCache(str(tmp_path / "cache"))
-    checkpoint = tmp_path / "sweep.json"
-    full = SweepRunner(checkpoint_path=str(checkpoint), jobs=2, cache=cache, **FAST)
-    state = full.run()
+    full = execute_run(SuiteMatrix(**FAST), out=tmp_path / "runs", jobs=2,
+                       cache=cache)
+    run_dir = pathlib.Path(full["run_dir"])
 
-    # Drop two finished cells from the checkpoint, as a crash would.
-    for key in ["lbm/ooo", "lbm/crisp"]:
-        del state["cells"][key]
-    checkpoint.write_text(json.dumps(state))
+    # Drop two finished cells from the run dir, as a crash would.
+    for key, cell in load_cells(run_dir).items():
+        if cell["workload"] == "lbm":
+            (run_dir / "cells" / f"{key}.json").unlink()
 
-    resumed = SweepRunner(
-        checkpoint_path=str(checkpoint), jobs=2, cache=cache, **FAST
-    )
-    resumed_state = resumed.run(resume=True)
-    assert len(resumed_state["cells"]) == 4
+    seen = []
+    hits = cache.stats.hits
+    resumed = execute_run(SuiteMatrix(**FAST), out=tmp_path / "runs", jobs=2,
+                          cache=cache, resume=True,
+                          on_cell=lambda key, r: seen.append(r))
+    assert resumed["run_dir"] == full["run_dir"]
+    assert len(load_cells(run_dir)) == 4
     # The two re-run cells came straight from the cache.
-    assert resumed.pool_stats.cells_cached == 2
-    assert resumed.pool_stats.cells_executed == 0
+    assert sorted(r.spec.label() for r in seen) == ["lbm/crisp", "lbm/ooo"]
+    assert all(r.from_cache for r in seen)
+    assert cache.stats.hits - hits == 2
 
 
 def test_cli_smoke_two_workloads_jobs_two(tmp_path, capsys):
@@ -76,35 +91,18 @@ def test_cli_smoke_two_workloads_jobs_two(tmp_path, capsys):
         "--scale", "0.05",
         "--jobs", "2",
         "--cache-dir", str(tmp_path / "cache"),
-        "--checkpoint", str(tmp_path / "sweep.json"),
+        "--out", str(tmp_path / "runs"),
     ]
     assert experiments_main(argv) == 0
     out = capsys.readouterr().out
-    assert "4/4 cells done" in out
+    run_dir = tmp_path / "runs" / "suite" / "run-001"
+    assert f"run dir: {run_dir}" in out
+    assert "0 hits / 4 misses" in out
+    first = rows_of(run_dir)
+    assert len(first) == 4
 
-    state = json.loads((tmp_path / "sweep.json").read_text())
-    assert {c["status"] for c in state["cells"].values()} == {"done"}
-
-    # Same experiment again: every unchanged cell is answered by the cache.
-    argv[-1] = str(tmp_path / "sweep2.json")
+    # Same sweep again: every unchanged cell is answered by the cache.
     assert experiments_main(argv) == 0
     out = capsys.readouterr().out
     assert "100% hit rate" in out
-    state2 = json.loads((tmp_path / "sweep2.json").read_text())
-    assert cells_of(state) == cells_of(state2)
-
-
-def test_injected_run_cell_forces_serial_path(tmp_path):
-    """A custom run_cell (unpicklable closure) must still work with jobs>1."""
-    calls = []
-
-    def run_cell(workload, mode, **kw):
-        calls.append((workload, mode))
-        return {"ipc": 1.0, "cycles": 10, "retired": 10}
-
-    runner = SweepRunner(
-        checkpoint_path=str(tmp_path / "x.json"), jobs=4, run_cell=run_cell, **FAST
-    )
-    state = runner.run()
-    assert len(calls) == 4
-    assert all(c["status"] == "done" for c in state["cells"].values())
+    assert rows_of(tmp_path / "runs" / "suite" / "run-002") == first

@@ -7,7 +7,7 @@ cache entry mid-run,
 1. every job still reaches a terminal state exactly once,
 2. results are bit-identical to an unfaulted run (cells are pure
    functions of their specs, so supervision can always re-execute), and
-3. a drain mid-sweep leaves a checkpoint a later resume completes
+3. a drain mid-sweep leaves a run directory a later resume completes
    (covered end-to-end in ``test_server.py`` and ``scripts/serve_smoke.py``).
 
 Plus the ``hung_worker`` chaos class: a worker that stops making

@@ -237,61 +237,95 @@ def _slow_div_chain_run_cell(spec):
     return _real_pool_run_cell(spec)
 
 
-def test_drain_checkpoints_unfinished_sweep_for_resume(tmp_path, monkeypatch):
-    """The acceptance property: a drained sweep's checkpoint is completed
-    by a plain SweepRunner resume."""
+def drain_with_div_chain_hung(tmp_path, monkeypatch, request, hung=1):
+    """Admit ``request``, wait until only its ``hung`` div_chain cells are
+    left, drain, and return the drained job's run directory."""
     monkeypatch.setattr(
         executor_module, "_pool_run_cell", _slow_div_chain_run_cell)
-
-    checkpoint_holder = {}
+    holder = {}
 
     async def scenario():
         async with serving(
             tmp_path, jobs=2, drain_timeout=0.3,
         ) as server:
-            admitted = await server.handle_request(
-                {"op": "sweep", "workloads": ["pointer_chase", "div_chain"],
-                 "modes": ["ooo"], "scale": FAST})
+            admitted = await server.handle_request(request)
             job = server._jobs[admitted["job"]]
             deadline = time.monotonic() + 60
-            while job.remaining > 1:  # pointer_chase finishes, div_chain hangs
+            while job.remaining > hung:  # pointer_chase finishes, div_chain hangs
                 assert time.monotonic() < deadline
                 await asyncio.sleep(0.02)
             summary = await server.drain()
             (drained,) = summary["drained_jobs"]
             assert drained["state"] == "drained"
-            checkpoint_holder["path"] = drained["checkpoint"]
+            holder["run_dir"] = drained["run_dir"]
             assert server.stats.jobs_drained == 1
 
     asyncio.run(scenario())
     monkeypatch.undo()
+    return holder["run_dir"]
 
-    path = checkpoint_holder["path"]
-    state = json.load(open(path))
-    assert state["cells"]["pointer_chase/ooo"]["status"] == "done"
-    assert "div_chain/ooo" not in state["cells"]
-    # The checkpoint carries the full execution identity (v2 contract).
-    from repro.parallel.cellkey import CACHE_SCHEMA_VERSION
 
-    assert state["engine"] in ("obj", "array")
-    assert state["cache_schema"] == CACHE_SCHEMA_VERSION
+def load_manifest(run_dir):
+    with open(os.path.join(run_dir, "manifest.json")) as handle:
+        return json.load(handle)
 
-    from repro.experiments.runner import SweepRunner
+
+def resume_drained(run_dir):
+    """Resume a drained run dir offline; returns (summary, simulated labels)."""
+    from repro.orchestrate import execute_run
 
     simulated = []
+    summary = execute_run(
+        None, resume=True, run_dir=run_dir,
+        on_cell=lambda key, result: simulated.append(result.spec.label()))
+    return summary, simulated
 
-    def run_cell(workload, mode, **kw):
-        simulated.append((workload, mode))
-        return {"ipc": 1.0, "cycles": 10, "retired": 10}
 
-    runner = SweepRunner(
-        workloads=["pointer_chase", "div_chain"], modes=["ooo"],
-        checkpoint_path=path, scale=FAST, run_cell=run_cell)
-    final = runner.run(resume=True)
+def test_drain_checkpoints_unfinished_sweep_for_resume(tmp_path, monkeypatch):
+    """The acceptance property: a drained sweep job is saved as a run
+    directory, and resuming it simulates exactly its remaining cell."""
+    run_dir = drain_with_div_chain_hung(tmp_path, monkeypatch, {
+        "op": "sweep", "workloads": ["pointer_chase", "div_chain"],
+        "modes": ["ooo"], "scale": FAST})
+
+    manifest = load_manifest(run_dir)
+    assert manifest["experiment"] == "suite"
+    assert manifest["args"]["workloads"] == ["pointer_chase", "div_chain"]
+    assert manifest["status"] == "partial"
+    # The manifest carries the full execution identity.
+    from repro.parallel.cellkey import CACHE_SCHEMA_VERSION
+
+    assert manifest["instance"]["engine"] in ("obj", "array")
+    assert manifest["instance"]["cache_schema"] == CACHE_SCHEMA_VERSION
+    stored = os.listdir(os.path.join(run_dir, "cells"))
+    assert len(stored) == 1 and len(manifest["cells"]) == 2
+
+    summary, simulated = resume_drained(run_dir)
     # Resume simulated only the drained cell; the finished one was kept.
-    assert simulated == [("div_chain", "ooo")]
-    assert final["cells"]["div_chain/ooo"]["status"] == "done"
-    assert final["cells"]["pointer_chase/ooo"]["status"] == "done"
+    assert simulated == ["div_chain/ooo"]
+    assert summary["failed"] == 0
+    final = load_manifest(run_dir)
+    assert final["status"] == "complete"
+
+
+def test_drain_saves_unfinished_experiment_job_for_resume(
+        tmp_path, monkeypatch):
+    """Jobs admitted with the ``experiment`` op drain to a run dir too,
+    and resume exactly their own remaining cells."""
+    run_dir = drain_with_div_chain_hung(tmp_path, monkeypatch, {
+        "op": "experiment", "experiment": "suite", "scale": FAST,
+        "workloads": ["pointer_chase", "div_chain"]}, hung=2)
+
+    manifest = load_manifest(run_dir)
+    assert manifest["experiment"] == "suite"
+    assert len(manifest["cells"]) == 4  # default modes: ooo, crisp
+    assert len(os.listdir(os.path.join(run_dir, "cells"))) == 2
+
+    summary, simulated = resume_drained(run_dir)
+    assert sorted(simulated) == ["div_chain/crisp", "div_chain/ooo"]
+    assert summary["failed"] == 0
+    final = load_manifest(run_dir)
+    assert final["status"] == "complete"
 
 
 # -- process-level smoke: python -m repro.serve + SIGTERM ----------------------
