@@ -1,11 +1,8 @@
 #!/usr/bin/env python
 """Lint: the experiment registry is complete and documented.
 
-Three invariants (docs/ORCHESTRATION.md):
+Two invariants (docs/ORCHESTRATION.md):
 
-* every figure/table module in ``repro.experiments.EXPERIMENTS`` is
-  registered as an orchestration experiment (the registry auto-wraps
-  stragglers as ``legacy``, so this catches registration machinery rot);
 * registration is unique — one registry entry per experiment id (a
   duplicate ``@register`` raises at import, which this lint surfaces as
   a problem instead of a stack trace);
@@ -49,21 +46,11 @@ def check(experiments_md: str | None = None) -> list[str]:
     """Return one problem string per registry/docs invariant violation."""
     problems = []
     try:
-        from repro import experiments
         from repro.orchestrate import registry
+
+        registered = set(registry())
     except ValueError as exc:  # duplicate @register raises ValueError
         return [f"experiment registry failed to build: {exc}"]
-
-    reg = registry()
-    module_ids = set(experiments.EXPERIMENTS)
-    registered = set(reg)
-
-    for exp_id in sorted(module_ids - registered):
-        problems.append(
-            f"figure module {exp_id!r} is not in the orchestrate registry; "
-            "the auto-wrap in repro.orchestrate.experiment should have "
-            "covered it"
-        )
 
     if experiments_md is None and not (REPO_ROOT / "EXPERIMENTS.md").is_file():
         problems.append("EXPERIMENTS.md is missing")

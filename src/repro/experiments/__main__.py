@@ -26,7 +26,7 @@ from ..orchestrate.cli import (
     print_cell,
     print_summary,
 )
-from . import EXPERIMENTS
+from . import figure_names
 
 
 def run_sweep(args, options: dict) -> int:
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["all", "sweep"],
+        choices=figure_names() + ["all", "sweep"],
         help="experiment id (paper table/figure), 'all', or 'sweep' "
         "(resumable suite sweep; docs/RESILIENCE.md)",
     )
@@ -148,15 +148,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment == "sweep":
         return run_sweep(args, options)
 
-    from ..orchestrate.experiment import TAKES_NO_WORKLOADS, get_experiment
+    from ..orchestrate.experiment import get_experiment
 
-    names = [args.experiment] if args.experiment != "all" else sorted(EXPERIMENTS)
+    names = [args.experiment] if args.experiment != "all" else figure_names()
     for name in names:
+        cls = get_experiment(name)
         kwargs = {"scale": args.scale}
-        if args.workloads and name not in TAKES_NO_WORKLOADS:
+        if args.workloads and not (args.experiment == "all" and cls.fixed_workloads):
             kwargs["workloads"] = args.workloads.split(",")
+        try:
+            experiment = cls(**kwargs)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         start = time.time()
-        result = get_experiment(name)(**kwargs).run_inline(**options)
+        result = experiment.run_inline(**options)
         print(result.to_markdown() if args.markdown else result.to_text())
         print(f"[{name} took {time.time() - start:.0f}s]\n")
     return 0

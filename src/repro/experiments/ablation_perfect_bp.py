@@ -11,7 +11,7 @@ Ported to a declarative :class:`~repro.orchestrate.Experiment`: the FDO
 flows (load-only and load+branch) run once per workload at plan time —
 on the default core, exactly as the legacy loop did — and their critical
 PCs pin each crisp instance explicitly, so every column is an ordinary
-cacheable cell; ``run()`` stays as the bit-identical shim.
+cacheable cell.
 """
 
 from __future__ import annotations
@@ -94,16 +94,3 @@ class PerfectBPAblation(Experiment):
         if self.seeds > 1:
             result.notes.append(f"median over {self.seeds} seed replicas per cell")
         return result
-
-
-def run(scale: float = 1.0, workloads: list[str] | None = None) -> ExperimentResult:
-    """Historical entry point; now a shim over the declarative port."""
-    return PerfectBPAblation(scale=scale, workloads=workloads).run_inline()
-
-
-def main() -> None:  # pragma: no cover
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

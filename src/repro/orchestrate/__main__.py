@@ -33,13 +33,13 @@ from .runs import execute_run, report_run
 def cmd_list(args) -> int:
     entries = []
     for name, cls in sorted(registry().items()):
-        entries.append({"name": name, "kind": cls.kind, "title": cls.title})
+        entries.append({"name": name, "title": cls.title})
     if args.json:
         print(json.dumps(entries, indent=1))
         return 0
     width = max(len(e["name"]) for e in entries)
     for entry in entries:
-        print(f"{entry['name']:<{width}}  {entry['kind']:<6}  {entry['title']}")
+        print(f"{entry['name']:<{width}}  {entry['title']}")
     return 0
 
 

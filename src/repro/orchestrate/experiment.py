@@ -8,16 +8,15 @@ function that turns cells plus explicit execution options into results,
 shared by ``Experiment.run_inline`` and
 :func:`~repro.orchestrate.runs.execute_run`.
 
-Two kinds live in the registry:
-
-* ``matrix`` — a real declarative cross product that lowers to
-  :class:`~repro.parallel.cellkey.CellSpec` cells (fig7, fig9, fig10, the
-  prefetcher/ratio ablations, the ``suite`` matrix). Adding a scenario is
-  one registered class.
-* ``legacy`` — an auto-generated wrapper around a figure module whose
-  computation is not (yet) cell-shaped; it still lists, runs, and reports
-  through the same CLI, so the registry covers every experiment exactly
-  once (``scripts/check_experiment_registry.py``).
+Every figure, table and ablation is one registered class, and there is
+one contract. An experiment either lowers to
+:class:`~repro.parallel.cellkey.CellSpec` cells, which pool, cache,
+sample and resume like any other cell, and builds its table from their
+results; or it has no instances, plans no cells, and computes its whole
+table in :meth:`Experiment.table` (table1, fig1, sec31, fig4, fig11 and
+ablation_sampling, whose quantities are not cell results). Both run,
+report and resume through the same :func:`run_specs` /
+``execute_run`` path. Adding a scenario is one registered class.
 """
 
 from __future__ import annotations
@@ -48,20 +47,22 @@ class PlannedCell:
 class Experiment:
     """Base class: a named selection over the cross product + a report.
 
-    Subclasses set ``name`` (the registry id) and ``title``, and implement
-    :meth:`instances`; :meth:`table` defaults to the generic per-workload
-    median-IPC matrix and is overridden by ported figure experiments to
-    regenerate their exact legacy tables.
+    Subclasses set ``name`` (the registry id) and ``title``, and
+    implement :meth:`instances`; :meth:`table` defaults to the generic
+    per-workload median-IPC matrix and is overridden by figure
+    experiments to regenerate their exact tables. An experiment with no
+    instances plans no cells and computes everything in :meth:`table`.
     """
 
     #: Registry id (``fig7``, ``ablation_ratio``, ...). Must be unique.
     name: str = ""
     #: Human title used as the report heading.
     title: str = ""
-    #: ``matrix`` (lowers to cells) or ``legacy`` (wraps a figure module).
-    kind: str = "matrix"
     #: Default workload selection; ``None`` = the full Figure 7 suite.
     default_workloads: tuple[str, ...] | None = None
+    #: ``True`` for experiments that run their own fixed inputs: they
+    #: reject a workload selection before anything is planned.
+    fixed_workloads: bool = False
 
     def __init__(
         self,
@@ -69,6 +70,11 @@ class Experiment:
         workloads: list[str] | None = None,
         seeds: int = 1,
     ):
+        if workloads and self.fixed_workloads:
+            raise ValueError(
+                f"experiment {self.name!r} runs a fixed workload set and "
+                "takes no workload selection"
+            )
         self.scale = scale
         self._workloads_arg = list(workloads) if workloads else None
         self.workloads = self._workloads_arg or self.defaults()
@@ -95,15 +101,13 @@ class Experiment:
         ]
 
     def instances(self, target: Target) -> list[Instance]:
-        """The instance columns for one target.
+        """The instance columns for one target (none by default).
 
         Most experiments return the same list for every target; per-target
         instances exist for experiments whose annotation is derived from
         the target itself (``ablation_ratio``).
         """
-        raise NotImplementedError(
-            f"experiment {self.name!r} must implement instances()"
-        )
+        return []
 
     def plan(self) -> list[PlannedCell]:
         """The full lowered matrix, in deterministic target-major order."""
@@ -140,7 +144,7 @@ class Experiment:
 
         With a single seed this is *the* IPC, bit-identical to a direct
         run — ``statistics.median`` of one element returns it unchanged —
-        so ported experiments keep their exact legacy numbers.
+        so single-seed tables keep the exact numbers of one run.
         """
         ipcs = [
             cells[(workload, variant, instance)].require_stats().ipc
@@ -184,7 +188,7 @@ class Experiment:
                    sample: str | None = "off", engine: str | None = None):
         """Plan, run with the given execution options, and build the table.
 
-        This is the body of every ported figure module's ``run()`` shim
+        This is the body of :func:`repro.experiments.run_experiment`
         (in-process and uncached by default) and of
         ``python -m repro.experiments <id>``, which passes its
         ``--jobs/--cache-dir/--sample/--engine`` flags here.
@@ -249,54 +253,9 @@ def run_specs(
                               on_result=on_result)
 
 
-# -- legacy wrappers -----------------------------------------------------------
-
-#: Figure modules whose run() takes no ``workloads`` selection.
-TAKES_NO_WORKLOADS = frozenset(
-    {"table1", "fig1", "sec31", "discussion_smt", "discussion_division"}
-)
-#: Figure modules whose run() takes no ``scale``.
-TAKES_NO_SCALE = frozenset({"table1"})
-
-
-class LegacyExperiment(Experiment):
-    """Auto-generated wrapper for a figure module without a declarative port.
-
-    It cannot lower to cells (``plan()`` is empty) but runs and reports
-    through the same CLI. The wrapped modules simulate directly, so the
-    execution options ``run_inline`` accepts do not apply to them.
-    """
-
-    kind = "legacy"
-    #: The wrapped ``repro.experiments`` module (set by :func:`make_legacy`).
-    module = None
-
-    def plan(self) -> list[PlannedCell]:
-        return []
-
-    def run_inline(self, **options):
-        kwargs = {}
-        if self.name not in TAKES_NO_SCALE:
-            kwargs["scale"] = self.scale
-        if self._workloads_arg and self.name not in TAKES_NO_WORKLOADS:
-            kwargs["workloads"] = list(self._workloads_arg)
-        return self.module.run(**kwargs)
-
-
-def make_legacy(exp_id: str, module) -> type[LegacyExperiment]:
-    """A LegacyExperiment subclass wrapping one figure module."""
-    doc = (module.__doc__ or exp_id).strip().splitlines()[0].rstrip(".")
-    return type(
-        f"Legacy_{exp_id}",
-        (LegacyExperiment,),
-        {"name": exp_id, "title": doc, "module": module},
-    )
-
-
 # -- registry ------------------------------------------------------------------
 
 _REGISTRY: dict[str, type[Experiment]] = {}
-_LOADED = False
 
 
 def register(cls: type[Experiment]) -> type[Experiment]:
@@ -310,18 +269,9 @@ def register(cls: type[Experiment]) -> type[Experiment]:
 
 
 def _ensure_loaded() -> None:
-    """Import the figure modules (registering their declarative classes),
-    then wrap every remaining figure id as a LegacyExperiment."""
-    global _LOADED
-    if _LOADED:
-        return
-    from .. import experiments
+    """Import the modules whose classes register themselves."""
+    from .. import experiments  # noqa: F401  (registers the figures)
     from ..workgen import grid  # noqa: F401  (registers property_grid)
-
-    for exp_id, module in experiments.EXPERIMENTS.items():
-        if exp_id not in _REGISTRY:
-            _REGISTRY[exp_id] = make_legacy(exp_id, module)
-    _LOADED = True
 
 
 def registry() -> dict[str, type[Experiment]]:

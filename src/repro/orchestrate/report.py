@@ -1,9 +1,9 @@
 """Aggregated report tables: median/stdev over the seed axis.
 
-Every matrix experiment gets two views of one run:
+Every experiment that plans cells gets two views of one run:
 
-* its *figure table* (``Experiment.table``) — the exact legacy rendering,
-  regenerated from resolved cells, and
+* its *figure table* (``Experiment.table``) — the paper figure's
+  rendering, regenerated from resolved cells, and
 * the *aggregate table* built here — one row per (workload, instance)
   with n/median/stdev over seed replicas, the statistically honest view
   once ``--seeds`` > 1.
@@ -67,9 +67,12 @@ def aggregate_table(
     plan: list[PlannedCell],
     results: list[CellResult],
 ):
-    """The aggregate rows as an ExperimentResult markdown/text table."""
+    """The aggregate rows as an ExperimentResult markdown/text table
+    (``None`` for an experiment that plans no cells)."""
     from ..experiments.common import ExperimentResult
 
+    if not plan:
+        return None
     rows = aggregate_rows(plan, results)
     by_key = {(r["workload"], r["instance"]): r for r in rows}
     names = experiment.instance_names()

@@ -108,7 +108,6 @@ def build_manifest(
     return {
         "manifest_version": MANIFEST_VERSION,
         "experiment": experiment.name,
-        "kind": experiment.kind,
         "title": experiment.title,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "args": experiment.args(),
@@ -163,12 +162,11 @@ def verify_identity(manifest: dict, fresh: dict, *, path: str = "") -> None:
     resume/report can never silently mix instances.
     """
     problems = []
-    for field in ("experiment", "kind"):
-        if manifest.get(field) != fresh.get(field):
-            problems.append(
-                f"{field}: run dir has {manifest.get(field)!r}, "
-                f"this invocation is {fresh.get(field)!r}"
-            )
+    if manifest.get("experiment") != fresh.get("experiment"):
+        problems.append(
+            f"experiment: run dir has {manifest.get('experiment')!r}, "
+            f"this invocation is {fresh.get('experiment')!r}"
+        )
     if manifest.get("args") != fresh.get("args"):
         problems.append(
             f"args: run dir has {manifest.get('args')!r}, "

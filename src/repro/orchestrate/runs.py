@@ -106,7 +106,6 @@ def _write_reports(run_dir: Path, manifest: dict, figure, aggregate,
     """Write report.md / report.json; returns the report dict."""
     report = {
         "experiment": manifest["experiment"],
-        "kind": manifest["kind"],
         "title": manifest["title"],
         "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "identity": manifest["instance"],
@@ -227,17 +226,6 @@ def execute_run(
         manifest = fresh_manifest
         atomic_write_json(manifest_path(path), manifest)
 
-    options = {"jobs": jobs, "cache": cache, "sample": sample, "engine": engine}
-    if not plan:
-        # Legacy experiment: not cell-shaped; run it whole and persist
-        # only the rendered report.
-        figure = experiment.run_inline(**options)
-        manifest["status"] = "complete"
-        atomic_write_json(manifest_path(path), manifest)
-        report = _write_reports(path, manifest, figure, None, None, [])
-        return {"run_dir": str(path), "failed": 0, "figure": figure,
-                "aggregate": None, "report": report}
-
     # Index plan positions by key (duplicate specs share one stored cell).
     by_key: dict[str, list[int]] = {}
     for index, cell in enumerate(plan):
@@ -261,7 +249,8 @@ def execute_run(
 
     if pending:
         fresh = run_specs(
-            [c.spec for c in pending], **options, policy=policy,
+            [c.spec for c in pending], jobs=jobs, cache=cache,
+            sample=sample, engine=engine, policy=policy,
             cycle_budget=cycle_budget, invariants=invariants,
             crash_dir=crash_dir, on_result=persist,
         )
@@ -270,6 +259,11 @@ def execute_run(
                 results[index] = result
 
     failed = _failed_rows(plan, results)
+    # The table first: a zero-cell experiment does all its work here, and
+    # a run is only marked complete once that work has succeeded.
+    figure = None
+    if not failed:
+        figure = experiment.table(plan, results)
     manifest["status"] = "complete" if not failed else "partial"
     manifest["cells_done"] = len(plan) - len(failed)
     if cache is not None:
@@ -280,9 +274,6 @@ def execute_run(
         }
     atomic_write_json(manifest_path(path), manifest)
 
-    figure = None
-    if not failed:
-        figure = experiment.table(plan, results)
     aggregate = aggregate_table(experiment, plan, results)
     agg_rows = aggregate_rows(plan, results)
     report = _write_reports(path, manifest, figure, aggregate, agg_rows, failed)
@@ -310,8 +301,9 @@ def report_run(run_dir: str | Path) -> dict:
 
     experiment = experiment_from_manifest(manifest)
 
-    if manifest.get("kind") == "legacy" or not manifest.get("cells"):
-        # Re-render the stored report (legacy runs keep no cells).
+    if not manifest.get("cells"):
+        # A zero-cell experiment computes its table directly; its stored
+        # report is the only record to re-render.
         with open(path / "report.json") as handle:
             report = json.load(handle)
         return report

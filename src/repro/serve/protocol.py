@@ -22,7 +22,7 @@ Requests carry ``op`` plus op-specific fields; every response carries
 | stats      | —                                                       |
 | drain      | —                                                       |
 
-An ``experiment`` request names a registered *matrix* experiment
+An ``experiment`` request names a registered experiment that plans cells
 (``python -m repro.orchestrate list``; docs/ORCHESTRATION.md) — the
 server lowers its Target × Instance plan to cells and admits them as one
 job, exactly as if the same cells had been submitted individually.
@@ -278,8 +278,8 @@ def parse_experiment(req: dict) -> tuple[str, dict, str | None, str]:
     ``kwargs`` are the experiment's constructor arguments (scale,
     workloads, seeds) — the same JSON shape a run manifest records as
     ``args``. The experiment name is checked against the orchestration
-    registry, and only matrix experiments are accepted (legacy wrappers
-    do not lower to cells the server can schedule).
+    registry; whether it plans any cells the server can schedule is
+    checked once it is built (``SimServer._admit_experiment``).
     """
     name = _require(req, "experiment", str)
     from ..orchestrate import registry  # local import: registration is heavy
@@ -288,13 +288,6 @@ def parse_experiment(req: dict) -> tuple[str, dict, str | None, str]:
     if name not in reg:
         raise ProtocolError(
             f"unknown experiment {name!r}; known: {sorted(reg)}",
-            code=E_BAD_REQUEST,
-        )
-    if reg[name].kind != "matrix":
-        raise ProtocolError(
-            f"experiment {name!r} is {reg[name].kind!r}, not 'matrix'; only "
-            "matrix experiments lower to schedulable cells — run it via "
-            "python -m repro.orchestrate instead",
             code=E_BAD_REQUEST,
         )
     kwargs: dict = {}

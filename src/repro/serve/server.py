@@ -597,6 +597,11 @@ class SimServer:
         except ValueError as exc:
             raise ProtocolError(
                 str(exc), code=protocol.E_BAD_REQUEST) from exc
+        if not plan:
+            raise ProtocolError(
+                f"experiment {experiment.name!r} plans no cells (it computes "
+                "its table directly); run it via python -m repro.orchestrate "
+                "instead", code=protocol.E_BAD_REQUEST)
         specs = stamp_specs([cell.spec for cell in plan], engine=engine,
                             cycle_budget=cycle_budget)
         job, rejection = self.admit(specs, priority, experiment=experiment,

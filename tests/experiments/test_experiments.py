@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, run_experiment
+from repro.experiments import figure_names, run_experiment
 from repro.experiments.common import ExperimentResult, format_pct
 
 FAST_WORKLOADS = ["mcf", "lbm"]
@@ -19,7 +19,7 @@ def test_registry_covers_all_paper_artifacts():
     }
     discussion = {"discussion_smt", "discussion_division"}
     extensions = {"corun_interference"}
-    assert set(EXPERIMENTS) == (
+    assert set(figure_names()) == (
         paper_artifacts | ablations | discussion | extensions
     )
 

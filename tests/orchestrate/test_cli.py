@@ -17,15 +17,16 @@ def test_list_prints_the_whole_registry(capsys):
     out = capsys.readouterr().out
     for name in ("fig7", "fig9", "fig10", "suite", "table1"):
         assert name in out
-    assert "matrix" in out and "legacy" in out
+    assert "Table 1: Simulated System" in out
 
 
 def test_list_json_is_machine_readable(capsys):
     assert run_cli("list", "--json") == 0
     entries = json.loads(capsys.readouterr().out)
     by_name = {e["name"]: e for e in entries}
-    assert by_name["suite"]["kind"] == "matrix"
-    assert by_name["table1"]["kind"] == "legacy"
+    assert by_name["suite"] == {
+        "name": "suite", "title": "Suite matrix: IPC per workload x mode"}
+    assert set(by_name["table1"]) == {"name", "title"}
 
 
 def test_run_resume_report_flow(tmp_path, capsys):
@@ -114,3 +115,22 @@ def test_resume_by_run_dir_rebuilds_the_experiment_from_its_manifest(
 def test_run_without_experiment_needs_resume_and_run_dir(tmp_path, capsys):
     assert run_cli("run", "--out", str(tmp_path / "runs")) == 1
     assert "--experiment" in capsys.readouterr().err
+
+
+def test_workload_selection_on_a_fixed_workload_experiment_is_an_error(
+        tmp_path, capsys, monkeypatch):
+    """discussion_smt used to simulate its six SMT cells over the selected
+    workload, then fail in ``table()`` with a KeyError and still exit 0."""
+    import repro.parallel.executor
+
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a rejected selection simulated a cell")
+
+    monkeypatch.setattr(repro.parallel.executor, "run_cells", no_cells)
+    out = tmp_path / "runs"
+    assert run_cli("run", "--experiment", "discussion_smt", "--workloads",
+                   "mcf", "--scale", "0.05", "--out", str(out),
+                   "--no-cache") == 1
+    err = capsys.readouterr().err
+    assert "discussion_smt" in err and "fixed workload set" in err
+    assert not out.exists()  # rejected before a run directory was made

@@ -105,15 +105,12 @@ def test_args_round_trip_reproduces_the_plan():
 
 
 def test_registry_covers_every_figure_module_exactly_once():
-    from repro import experiments as figure_modules
+    from repro.experiments import figure_names
 
     reg = registry()
-    assert set(figure_modules.EXPERIMENTS) <= set(reg)
+    assert set(figure_names()) <= set(reg)
     assert experiment_names() == sorted(reg)
-    # Ported experiments are matrix; unported ones wrap as legacy.
-    assert reg["fig7"].kind == "matrix"
-    assert reg["suite"].kind == "matrix"
-    assert reg["table1"].kind == "legacy"
+    assert len(reg) == 19
 
 
 def test_get_experiment_rejects_unknown_names():
@@ -122,13 +119,27 @@ def test_get_experiment_rejects_unknown_names():
 
 
 def test_matrix_experiments_plan_and_round_trip():
-    """Every registered matrix experiment lowers to a non-empty plan whose
-    args round-trip through the manifest shape."""
+    """Every registered experiment with instances lowers to a non-empty
+    plan whose args round-trip through the manifest shape."""
+    planned = set()
     for name, cls in registry().items():
-        if cls.kind != "matrix":
-            continue
-        exp = cls(scale=0.1, workloads=["mcf"])
+        exp = cls(scale=0.1,
+                  workloads=None if cls.fixed_workloads else ["mcf"])
         plan = exp.plan()
-        assert plan, f"{name} planned no cells"
+        if not plan:
+            continue
+        planned.add(name)
         rebuilt = cls(**exp.args())
         assert [c.key for c in rebuilt.plan()] == [c.key for c in plan], name
+    # Only the experiments whose quantities are not cell results plan none.
+    assert set(registry()) - planned == {
+        "table1", "fig1", "sec31", "fig4", "fig11", "ablation_sampling"}
+
+
+def test_fixed_workload_experiments_reject_a_selection():
+    for name in ("table1", "fig1", "sec31", "discussion_smt",
+                 "discussion_division"):
+        cls = get_experiment(name)
+        assert cls.fixed_workloads
+        with pytest.raises(ValueError, match="fixed workload set"):
+            cls(scale=0.05, workloads=["mcf"])

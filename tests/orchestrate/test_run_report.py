@@ -1,24 +1,19 @@
 """execute_run / report_run: run directories, resume, identity checks.
 
 Cells use pointer_chase at scale 0.05 so a fresh simulation costs well
-under a second; the fig7 equivalence test is the acceptance property that
-the orchestrated path reproduces the legacy figure bit-identically.
+under a second. That each figure's rows come out bit-identical through
+this path is ``tests/experiments/test_golden_rows.py``.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import types
 
 import pytest
 
 from repro.orchestrate import RunIdentityError, execute_run, report_run
-from repro.orchestrate.experiment import (
-    SuiteMatrix,
-    _REGISTRY,
-    make_legacy,
-)
+from repro.orchestrate.experiment import SuiteMatrix, get_experiment
 from repro.orchestrate.rundir import load_manifest, manifest_path
 from repro.parallel import ResultCache
 from repro.parallel.cellkey import CACHE_SCHEMA_VERSION
@@ -46,7 +41,6 @@ def test_fresh_run_writes_the_full_directory(tmp_path):
     manifest = load_manifest(run_dir)
     assert manifest["status"] == "complete"
     assert manifest["experiment"] == "suite"
-    assert manifest["kind"] == "matrix"
     # The full execution identity is recorded.
     identity = manifest["instance"]
     assert identity["engine"] == resolve_engine(None)
@@ -195,55 +189,18 @@ def test_report_rejects_a_foreign_cache_schema(tmp_path):
         report_run(summary["run_dir"])
 
 
-# -- legacy experiments --------------------------------------------------------
+# -- experiments that plan no cells -------------------------------------------
 
 
-def fake_legacy_class():
-    def run(scale=1.0, workloads=None):
-        from repro.experiments.common import ExperimentResult
-
-        result = ExperimentResult(
-            experiment="fake_legacy", title="fake", headers=["workload", "x"])
-        result.add_row("mcf", 1.0)
-        return result
-
-    module = types.SimpleNamespace(run=run, __doc__="Fake legacy experiment.")
-    return make_legacy("fake_legacy", module)
-
-
-def test_legacy_experiment_runs_whole_and_reports(tmp_path, monkeypatch):
-    cls = fake_legacy_class()
-    monkeypatch.setitem(_REGISTRY, "fake_legacy", cls)
-    summary = execute_run(cls(scale=FAST), out=tmp_path / "runs")
+def test_zero_cell_experiment_runs_whole_and_reports(tmp_path, monkeypatch):
+    summary = execute_run(get_experiment("table1")(), out=tmp_path / "runs")
     manifest = load_manifest(summary["run_dir"])
-    assert manifest["kind"] == "legacy"
     assert manifest["status"] == "complete"
-    assert manifest["cells"] == {}  # not cell-shaped
-    assert summary["figure"].rows == [["mcf", 1.0]]
-    # report_run replays the stored report without re-running the module.
+    assert manifest["cells"] == {}  # its table is computed, not cell-shaped
+    assert summary["aggregate"] is None
+    rows = summary["figure"].rows
+    assert ["ROB", "224 entries"] in rows
+    # report_run replays the stored report without recomputing the table.
+    monkeypatch.setattr(get_experiment("table1"), "table", None)
     report = report_run(summary["run_dir"])
-    assert report["figure"]["rows"] == [["mcf", 1.0]]
-
-
-# -- the fig7 acceptance property ----------------------------------------------
-
-
-def test_orchestrated_fig7_matches_legacy_bit_identically(tmp_path):
-    from repro.experiments import fig7_ipc
-
-    legacy = fig7_ipc.run(
-        scale=0.1, workloads=["pointer_chase"], modes=("crisp",))
-
-    from repro.orchestrate.experiment import get_experiment
-
-    exp = get_experiment("fig7")(
-        scale=0.1, workloads=["pointer_chase"], modes=("crisp",))
-    summary = execute_run(exp, out=tmp_path / "runs",
-                          cache=ResultCache(str(tmp_path / "cache")))
-    figure = summary["figure"]
-    assert figure.headers == legacy.headers
-    assert figure.rows == legacy.rows  # bit-identical, not approximately
-
-    # And a re-report from disk reproduces the same rows again.
-    report = report_run(summary["run_dir"])
-    assert report["figure"]["rows"] == [list(r) for r in legacy.rows]
+    assert report["figure"]["rows"] == rows

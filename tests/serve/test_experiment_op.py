@@ -1,8 +1,9 @@
 """The ``experiment`` op: orchestrated experiments through the job server.
 
-A matrix experiment named on the wire is lowered to its Target × Instance
-cells and admitted as one bulk job; legacy and unknown experiments are
-rejected at the protocol layer.
+An experiment named on the wire is lowered to its Target × Instance
+cells and admitted as one bulk job; unknown experiments are rejected at
+the protocol layer, and experiments that plan no cells or reject the
+requested workload selection are rejected by the server.
 """
 
 from __future__ import annotations
@@ -46,9 +47,7 @@ def test_parse_experiment_accepts_a_matrix_experiment():
     assert engine is None and priority == "bulk"
 
 
-def test_parse_experiment_rejects_legacy_and_unknown():
-    with pytest.raises(ProtocolError, match="not 'matrix'"):
-        parse_experiment({"op": "experiment", "experiment": "table1"})
+def test_parse_experiment_rejects_unknown():
     with pytest.raises(ProtocolError, match="unknown experiment"):
         parse_experiment({"op": "experiment", "experiment": "fig99"})
 
@@ -91,10 +90,17 @@ def test_experiment_job_runs_to_done(tmp_path):
 def test_experiment_job_rejections_on_the_server(tmp_path):
     async def scenario():
         async with serving(tmp_path) as server:
-            legacy = await server.handle_request(
+            no_cells = await server.handle_request(
                 {"op": "experiment", "experiment": "table1"})
-            assert not legacy["ok"]
-            assert legacy["code"] == protocol.E_BAD_REQUEST
+            assert not no_cells["ok"]
+            assert no_cells["code"] == protocol.E_BAD_REQUEST
+            assert "plans no cells" in no_cells["error"]
+            fixed = await server.handle_request(
+                {"op": "experiment", "experiment": "discussion_smt",
+                 "workloads": ["mcf"], "scale": FAST})
+            assert not fixed["ok"]
+            assert fixed["code"] == protocol.E_BAD_REQUEST
+            assert "fixed workload set" in fixed["error"]
             unknown = await server.handle_request(
                 {"op": "experiment", "experiment": "fig99"})
             assert not unknown["ok"]
